@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -40,6 +41,7 @@ func TestZipfPanics(t *testing.T) {
 		func() { NewZipf(rng, 0, 0.99) },
 		func() { NewZipf(rng, 10, 0) },
 		func() { NewZipf(rng, 10, 1) },
+		func() { NewZipf(rng, 10, math.NaN()) },
 		func() { NewUniform(rng, 0) },
 		func() { NewLatest(rng, 0, 0.99) },
 		func() { NewYCSB('X', rng, 10, 0.99) },

@@ -7,6 +7,7 @@ package workload
 
 import (
 	"math"
+	"sync"
 
 	"flatflash/internal/sim"
 )
@@ -17,11 +18,13 @@ import (
 // values are more popular.
 type Zipf struct {
 	n     uint64
-	theta float64
 	alpha float64
 	zetan float64
 	eta   float64
-	rng   *sim.RNG
+	// second is 1 + 0.5^theta: draws with u*zetan below it (and not below
+	// 1) return 1. Computed once here instead of once per draw.
+	second float64
+	rng    *sim.RNG
 }
 
 // DefaultZipfTheta is the YCSB default skew.
@@ -32,20 +35,64 @@ func NewZipf(rng *sim.RNG, n uint64, theta float64) *Zipf {
 	if n == 0 {
 		panic("workload: Zipf over empty range")
 	}
-	if theta <= 0 || theta >= 1 {
+	// Written so that NaN fails too: a NaN theta would also never match
+	// its own memo key.
+	if !(theta > 0 && theta < 1) {
 		panic("workload: Zipf theta must be in (0,1)")
 	}
-	z := &Zipf{n: n, theta: theta, rng: rng}
-	z.zetan = zeta(n, theta)
+	z := &Zipf{n: n, rng: rng}
+	z.zetan = memoZeta(n, theta)
 	z.alpha = 1 / (1 - theta)
 	zeta2 := zeta(2, theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta2/z.zetan)
+	z.second = 1 + math.Pow(0.5, theta)
 	return z
 }
 
+// zetaMemo caches zeta(n, theta) for the life of the process. The sum is
+// O(n) Pow calls, and callers build many generators over the same key
+// space: txdb builds one per worker thread, and a full paper suite asks
+// for only ten distinct (n, theta) pairs in over seven hundred NewZipf
+// calls. Each entry is computed once, under its own sync.Once, so
+// concurrent sweep workers asking for the same key wait for one sum
+// instead of each doing it.
+//
+// The memo is a pure cache and cannot leak state between tests or runs:
+// an entry holds exactly the bits zeta(n, theta) returns, because it is
+// that call's result, so a hit and a miss give the same generator. Test
+// order (go test -shuffle=on) changes only how long a NewZipf takes.
+var (
+	zetaMu   sync.Mutex
+	zetaMemo = map[zetaKey]*zetaEntry{}
+)
+
+type zetaKey struct {
+	n     uint64
+	theta float64
+}
+
+type zetaEntry struct {
+	once sync.Once
+	v    float64
+}
+
+func memoZeta(n uint64, theta float64) float64 {
+	k := zetaKey{n: n, theta: theta}
+	zetaMu.Lock()
+	e := zetaMemo[k]
+	if e == nil {
+		e = &zetaEntry{}
+		zetaMemo[k] = e
+	}
+	zetaMu.Unlock()
+	e.once.Do(func() { e.v = zeta(n, theta) })
+	return e.v
+}
+
+// zeta is the generalised harmonic number sum_{i=1..n} 1/i^theta, summed
+// left to right. The order is part of the output: a closed form or a
+// reordered sum changes the low bits, and with them draws downstream.
 func zeta(n uint64, theta float64) float64 {
-	// Exact summation is O(n); fine for the simulator's scaled-down key
-	// spaces (<= a few million).
 	sum := 0.0
 	for i := uint64(1); i <= n; i++ {
 		sum += 1 / math.Pow(float64(i), theta)
@@ -60,7 +107,7 @@ func (z *Zipf) Next() uint64 {
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+math.Pow(0.5, z.theta) {
+	if uz < z.second {
 		return 1
 	}
 	v := uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))

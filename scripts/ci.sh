@@ -81,6 +81,12 @@ echo "== go test -shuffle=on =="
 # shared tmp files) that a fixed order can hide.
 go test -shuffle=on ./...
 
+echo "== hostbench tests =="
+# The host-time benchmark is its own module (hostbench/go.mod), so ./...
+# above never reaches it. Its tests check the output digests, verdicts and
+# profile folding the benchmark's results rest on.
+(cd hostbench && go vet ./... && go test ./...)
+
 echo "== bench smoke =="
 # One iteration of every benchmark: catches benchmarks that no longer build
 # or crash (the allocation-budget tests ride the normal test passes above).
