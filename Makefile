@@ -3,7 +3,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: ci fmt vet lint lint-fix build test race bench fuzz crashsweep
+.PHONY: ci fmt vet lint lint-fix build test race bench profile fuzz crashsweep
 
 ci:
 	./scripts/ci.sh
@@ -40,6 +40,16 @@ race:
 
 bench:
 	./scripts/bench.sh BENCH_9.json
+
+# CPU profile of the full-scale paper suite (flatflash-bench with no
+# arguments): the 30 functions with the most flat samples. Everything it
+# writes goes to a temporary directory that is removed afterwards.
+profile:
+	@dir=$$(mktemp -d); \
+	go build -o "$$dir/flatflash-bench" ./cmd/flatflash-bench && \
+	"$$dir/flatflash-bench" -cpuprofile "$$dir/cpu.pprof" > /dev/null && \
+	go tool pprof -top -nodecount 30 "$$dir/flatflash-bench" "$$dir/cpu.pprof"; \
+	status=$$?; rm -rf "$$dir"; exit $$status
 
 fuzz:
 	go test -fuzz=FuzzParse -fuzztime=10s -run=^$$ ./internal/trace

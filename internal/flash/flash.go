@@ -9,6 +9,7 @@
 package flash
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -128,6 +129,10 @@ type Device struct {
 	free [][]byte
 	slab []byte
 
+	// erased is one all-0xFF page, what every erased page reads as. It is
+	// only ever copied from, so callers cannot change it.
+	erased []byte
+
 	faults *fault.Engine    // nil = no injection
 	att    telemetry.Attrib // nil when latency attribution is disabled
 
@@ -152,6 +157,7 @@ func NewDevice(cfg Config) (*Device, error) {
 	for i := range d.chans {
 		d.chans[i] = sim.NewResource()
 	}
+	d.erased = bytes.Repeat([]byte{0xFF}, cfg.PageSize)
 	return d, nil
 }
 
@@ -191,13 +197,7 @@ func (d *Device) Read(now sim.Time, p PageAddr, buf []byte) (sim.Time, error) {
 		return now, ErrBadPageSize
 	}
 	_, done := d.channelOf(p).Acquire(now, d.cfg.ReadLatency)
-	if d.state[p] == pageErased || d.data[p] == nil {
-		for i := range buf {
-			buf[i] = 0xFF
-		}
-	} else {
-		copy(buf, d.data[p])
-	}
+	d.copyOut(p, buf)
 	d.reads++
 	comp := telemetry.CompFlash
 	if d.ptype[p] == PageTrans {
@@ -222,14 +222,18 @@ func (d *Device) Peek(p PageAddr, buf []byte) error {
 	if len(buf) != d.cfg.PageSize {
 		return ErrBadPageSize
 	}
+	d.copyOut(p, buf)
+	return nil
+}
+
+// copyOut copies page p's contents into buf: the shared all-0xFF page for
+// erased pages and for failed programs, which hold no data.
+func (d *Device) copyOut(p PageAddr, buf []byte) {
 	if d.state[p] == pageErased || d.data[p] == nil {
-		for i := range buf {
-			buf[i] = 0xFF
-		}
+		copy(buf, d.erased)
 	} else {
 		copy(buf, d.data[p])
 	}
-	return nil
 }
 
 // Program writes data (PageSize bytes) into erased page p and returns the

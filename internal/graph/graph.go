@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"flatflash/internal/core"
 	"flatflash/internal/sim"
@@ -26,7 +27,7 @@ import (
 //
 // Region layout: [ scores: V*8 bytes | next: V*8 bytes | edges: E*4 bytes ].
 // The CSR offsets array is host-side metadata (GraphChi keeps shard indexes
-// in memory too).
+// in memory too). It is read-only: every graph of one shape shares it.
 type Graph struct {
 	h       core.Hierarchy
 	region  core.Region
@@ -61,42 +62,93 @@ func Generate(h core.Hierarchy, v, avgDegree int, seed uint64) (*Graph, error) {
 	if v <= 1 || avgDegree < 1 {
 		return nil, fmt.Errorf("graph: V %d avgDegree %d", v, avgDegree)
 	}
-	rng := sim.NewRNG(seed)
-	// Out-degrees: mildly skewed around avgDegree; targets: scrambled
-	// Zipfian for power-law in-degree (hubs), like real social graphs.
-	targets := workload.NewScrambledZipf(rng, uint64(v), 0.75)
-	offsets := make([]int32, v+1)
-	degs := make([]int, v)
-	e := 0
-	for i := 0; i < v; i++ {
-		d := 1 + rng.Intn(2*avgDegree-1)
-		degs[i] = d
-		e += d
-	}
+	s := memoShape(v, avgDegree, seed)
+	e := len(s.targets)
 	total := uint64(2*v)*vertexSlot + uint64(e)*4
 	region, err := h.Mmap(total)
 	if err != nil {
 		return nil, err
 	}
-	g := &Graph{h: h, region: region, V: v, E: e, offsets: offsets}
+	g := &Graph{h: h, region: region, V: v, E: e, offsets: s.offsets}
 	// Write the edge array through the hierarchy (bulk sequential load).
-	idx := 0
+	for idx, t := range s.targets {
+		binary.LittleEndian.PutUint32(g.scratch[:4], t)
+		if _, err := h.Write(g.edgeAddr(idx), g.scratch[:4]); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
+}
+
+// shape is the host-side draw of one graph: the CSR offsets and every
+// edge's target, in edge order. It depends only on (v, avgDegree, seed) and
+// is never written after it is built, so graphs share it.
+type shape struct {
+	offsets []int32  // edges of vertex i are targets[offsets[i]:offsets[i+1]]
+	targets []uint32 // self loops already redirected
+}
+
+// shapeMemo caches each graph's shape for the life of the process. The
+// experiments load the same few graphs into many hierarchies (fig10 makes
+// 36 Generate calls for 2 distinct graphs), and the degrees and Zipf
+// targets do not depend on the hierarchy. Each entry is built once, under
+// its own sync.Once, so concurrent callers asking for one key wait for one
+// draw. Like workload's zeta memo it is a pure cache: an entry is exactly
+// what drawShape returns for its key, so a hit and a miss load the same
+// bytes and test order cannot change a result.
+var (
+	shapeMu   sync.Mutex
+	shapeMemo = map[shapeKey]*shapeEntry{}
+)
+
+type shapeKey struct {
+	v, avgDegree int
+	seed         uint64
+}
+
+type shapeEntry struct {
+	once sync.Once
+	s    *shape
+}
+
+func memoShape(v, avgDegree int, seed uint64) *shape {
+	k := shapeKey{v: v, avgDegree: avgDegree, seed: seed}
+	shapeMu.Lock()
+	e := shapeMemo[k]
+	if e == nil {
+		e = &shapeEntry{}
+		shapeMemo[k] = e
+	}
+	shapeMu.Unlock()
+	e.once.Do(func() { e.s = drawShape(v, avgDegree, seed) })
+	return e.s
+}
+
+// drawShape draws a graph's degrees and then its edge targets from one RNG
+// stream. The draw order is part of the output.
+func drawShape(v, avgDegree int, seed uint64) *shape {
+	rng := sim.NewRNG(seed)
+	// Out-degrees: mildly skewed around avgDegree; targets: scrambled
+	// Zipfian for power-law in-degree (hubs), like real social graphs.
+	zipf := workload.NewScrambledZipf(rng, uint64(v), 0.75)
+	offsets := make([]int32, v+1)
+	e := 0
 	for i := 0; i < v; i++ {
-		offsets[i] = int32(idx)
-		for k := 0; k < degs[i]; k++ {
-			t := uint32(targets.Next())
+		offsets[i] = int32(e)
+		e += 1 + rng.Intn(2*avgDegree-1)
+	}
+	offsets[v] = int32(e)
+	targets := make([]uint32, e)
+	for i := 0; i < v; i++ {
+		for idx := offsets[i]; idx < offsets[i+1]; idx++ {
+			t := uint32(zipf.Next())
 			if t == uint32(i) {
 				t = uint32((i + 1) % v) // no self loops
 			}
-			binary.LittleEndian.PutUint32(g.scratch[:4], t)
-			if _, err := h.Write(g.edgeAddr(idx), g.scratch[:4]); err != nil {
-				return nil, err
-			}
-			idx++
+			targets[idx] = t
 		}
 	}
-	offsets[v] = int32(idx)
-	return g, nil
+	return &shape{offsets: offsets, targets: targets}
 }
 
 // Result reports one analytics run.

@@ -45,7 +45,7 @@ func (r *refLRU) invalidate(vpn uint64) {
 // decisions throughout. Byte-identical reports depend on this equivalence.
 func TestTLBMatchesReferenceLRU(t *testing.T) {
 	const capacity = 8
-	tl := newTLB(capacity)
+	tl := newTLB(capacity, capacity*3)
 	ref := &refLRU{cap: capacity}
 	rng := sim.NewRNG(7)
 	for i := 0; i < 20000; i++ {
@@ -70,7 +70,7 @@ func TestTLBMatchesReferenceLRU(t *testing.T) {
 // TestTLBEvictsLRU pins the exact eviction order: filling the TLB and adding
 // one more entry must evict the least recently used, not an arbitrary slot.
 func TestTLBEvictsLRU(t *testing.T) {
-	tl := newTLB(4)
+	tl := newTLB(4, 101)
 	for vpn := uint64(0); vpn < 4; vpn++ {
 		tl.insert(vpn)
 	}
@@ -89,8 +89,9 @@ func TestTLBEvictsLRU(t *testing.T) {
 	}
 }
 
-// TestTranslateZeroAllocSteadyState is the TLB's allocation budget: once the
-// slot map is warmed, Translate (hit or miss+insert+evict) allocates nothing.
+// TestTranslateZeroAllocSteadyState is the TLB's allocation budget: once
+// every VPN has been through the TLB, Translate (hit or miss+insert+evict)
+// allocates nothing.
 func TestTranslateZeroAllocSteadyState(t *testing.T) {
 	if sim.RaceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
@@ -104,8 +105,8 @@ func TestTranslateZeroAllocSteadyState(t *testing.T) {
 	for vpn := uint64(0); vpn < 256; vpn++ {
 		a.Map(vpn, PTE{Loc: InSSD, SSDPage: uint32(vpn)})
 	}
-	// Warm: cycle every VPN through the TLB so the map has grown to its
-	// steady-state bucket count.
+	// Warm: cycle every VPN through the TLB so each one has been inserted
+	// and evicted at least once before the budget is measured.
 	for vpn := uint64(0); vpn < 256; vpn++ {
 		if _, _, err := a.Translate(vpn); err != nil {
 			t.Fatal(err)
@@ -119,5 +120,61 @@ func TestTranslateZeroAllocSteadyState(t *testing.T) {
 		vpn += 3 // mix of hits and miss+evict cycles
 	}); avg != 0 {
 		t.Fatalf("Translate allocates %.2f objects/op at steady state, want 0", avg)
+	}
+}
+
+// TestAddressSpaceMatchesReferenceLRU drives Translate and UpdateMapping
+// over the whole VPN range, the last VPN included, and checks the hit, miss
+// and shootdown counts from Stats against the naive exact-LRU after every
+// step: the dense per-VPN slot index must behave like the reference at both
+// ends of the address space.
+func TestAddressSpaceMatchesReferenceLRU(t *testing.T) {
+	const capacity, maxPages = 8, 64
+	cfg := DefaultConfig()
+	cfg.TLBEntries = capacity
+	a, err := New(cfg, maxPages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for vpn := uint64(0); vpn < maxPages; vpn++ {
+		a.Map(vpn, PTE{Loc: InSSD, SSDPage: uint32(vpn)})
+	}
+	ref := &refLRU{cap: capacity}
+	var hits, misses, shootdowns int64
+	rng := sim.NewRNG(11)
+	for i := 0; i < 20000; i++ {
+		// Favour both ends so VPN 0 and VPN maxPages-1 see every transition.
+		var vpn uint64
+		switch rng.Intn(4) {
+		case 0:
+			vpn = uint64(rng.Intn(capacity / 2))
+		case 1:
+			vpn = maxPages - 1 - uint64(rng.Intn(capacity/2))
+		default:
+			vpn = uint64(rng.Intn(maxPages))
+		}
+		if rng.Intn(10) == 0 {
+			a.UpdateMapping(vpn, PTE{Loc: InDRAM, Frame: i})
+			ref.invalidate(vpn)
+			shootdowns++
+		} else {
+			if _, _, err := a.Translate(vpn); err != nil {
+				t.Fatal(err)
+			}
+			if ref.lookup(vpn) {
+				hits++
+			} else {
+				ref.insert(vpn)
+				misses++
+			}
+		}
+		gh, gm, gs := a.Stats()
+		if gh != hits || gm != misses || gs != shootdowns {
+			t.Fatalf("step %d vpn %d: Stats = (%d, %d, %d), reference (%d, %d, %d)",
+				i, vpn, gh, gm, gs, hits, misses, shootdowns)
+		}
+	}
+	if _, _, err := a.Translate(maxPages); err != ErrUnmapped {
+		t.Fatalf("Translate(maxPages) err = %v, want ErrUnmapped", err)
 	}
 }
