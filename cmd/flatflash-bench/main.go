@@ -79,6 +79,11 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile taken after the runs to this file")
 	obs := obsflags.Register(flag.CommandLine)
 	flag.Parse()
+	if *obs.Parallel < 0 {
+		fmt.Fprintf(os.Stderr, "flatflash-bench: negative -parallel %d\n", *obs.Parallel)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

@@ -27,7 +27,8 @@
 //	                       may call it without the closure diagnostic, and
 //	                       its own body is not allocation-gated.
 //	//flatflash:lp         on a function's doc comment opts it into the
-//	                       sharedstate gate for psim LP bodies.
+//	                       sharedstate gate for bodies that run
+//	                       concurrently (fleet shard windows, mtsim runs).
 //	//flatflash:deterministic
 //	                       on a function's doc comment opts it into the
 //	                       mapiter/detflow ordered-output gates even when

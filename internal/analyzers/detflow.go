@@ -17,8 +17,8 @@ import (
 // from a map walk and emitted unsorted three statements later, a tainted
 // slice returned to the caller that renders it, a pointer formatted into a
 // counter name. Same-seed byte-identical reports (every crashsweep golden,
-// the psim sequential≡parallel gate) are only as strong as the absence of
-// such flows.
+// the sequential≡parallel gates) are only as strong as the absence of such
+// flows.
 //
 // Taint sources (intraprocedural):
 //

@@ -6,20 +6,21 @@ import (
 	"go/types"
 )
 
-// sharedstate is the compile-time side of psim's determinism contract. The
-// parallel engine runs every LP's Run body concurrently between virtual-time
-// barriers, and the byte-identical-report guarantee holds only if each LP
-// touches nothing but its own struct, its arguments, and the messages the
-// engine delivers. The GOMAXPROCS-matrix equivalence tests prove that
-// dynamically for the configurations they drive; sharedstate gates the
-// source itself. A function opts in by carrying //flatflash:lp in its doc
-// comment, and every construct that reaches shared mutable state is flagged:
+// sharedstate is the compile-time side of the parallel runs' determinism
+// contract. The fleet's epoch loop serves every shard's window concurrently
+// between epoch boundaries, and mtsim runs each tenant's solo run beside the
+// shared one; the byte-identical-report guarantee holds only if each of
+// those bodies touches nothing but its own state and its arguments. The
+// GOMAXPROCS-matrix equivalence tests prove that dynamically for the
+// configurations they drive; sharedstate gates the source itself. A
+// function opts in by carrying //flatflash:lp in its doc comment, and every
+// construct that reaches shared mutable state is flagged:
 //
 //	package-level variable reads/writes (error sentinels may be read —
 //	comparing err == ErrX is immutable by convention)
-//	go statements (an LP is one goroutine by contract)
-//	channel send/receive/range/select (cross-LP traffic must be psim
-//	messages, which the engine merges deterministically)
+//	go statements (an LP body is one goroutine by contract)
+//	channel send/receive/range/select (state crosses between LP bodies
+//	only at the barrier, on the calling goroutine)
 //	sync and sync/atomic calls (a lock order is a nondeterministic order)
 //
 // Calls into other functions are not traced; annotate the callee if it runs
@@ -63,19 +64,19 @@ func (p *Pass) checkLPBody(body *ast.BlockStmt) {
 func (p *Pass) checkLPNode(n ast.Node, stack []ast.Node) {
 	switch e := n.(type) {
 	case *ast.GoStmt:
-		p.Reportf(e.Pos(), "go statement in LP body: an LP is one goroutine; concurrency belongs to the psim engine")
+		p.Reportf(e.Pos(), "go statement in LP body: an LP body is one goroutine; concurrency belongs to the worker pool")
 	case *ast.SendStmt:
-		p.Reportf(e.Pos(), "channel send in LP body: cross-LP traffic must be psim messages, not channels")
+		p.Reportf(e.Pos(), "channel send in LP body: state crosses LP bodies only at the barrier, not through channels")
 	case *ast.UnaryExpr:
 		if e.Op == token.ARROW {
-			p.Reportf(e.Pos(), "channel receive in LP body: cross-LP traffic must be psim messages, not channels")
+			p.Reportf(e.Pos(), "channel receive in LP body: state crosses LP bodies only at the barrier, not through channels")
 		}
 	case *ast.SelectStmt:
-		p.Reportf(e.Pos(), "select in LP body: cross-LP traffic must be psim messages, not channels")
+		p.Reportf(e.Pos(), "select in LP body: state crosses LP bodies only at the barrier, not through channels")
 	case *ast.RangeStmt:
 		if t := p.Info.TypeOf(e.X); t != nil {
 			if _, ok := t.Underlying().(*types.Chan); ok {
-				p.Reportf(e.Pos(), "range over channel in LP body: cross-LP traffic must be psim messages, not channels")
+				p.Reportf(e.Pos(), "range over channel in LP body: state crosses LP bodies only at the barrier, not through channels")
 			}
 		}
 	case *ast.CallExpr:

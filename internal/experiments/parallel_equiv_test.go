@@ -6,7 +6,7 @@ import (
 )
 
 // Figure-level gate for the -parallel flag: rendering the consolidate and
-// fleet experiments through the psim conservative parallel engine must
+// fleet experiments with several workers per simulation must
 // produce byte-identical report output. This is the same comparison ci.sh
 // makes end-to-end through the flatflash-bench binary.
 func TestParallelReportsByteIdentical(t *testing.T) {

@@ -24,17 +24,17 @@ var (
 	// the demand-paged translation map (flatflash-bench's -map-cache flag).
 	mapCachePages int
 
-	// parallelWorkers >= 2 runs each sweep point's simulation on the psim
-	// conservative parallel engine with that many workers (flatflash-bench's
-	// -parallel flag). Reports are byte-identical either way.
+	// parallelWorkers >= 2 runs each sweep point's simulation on that many
+	// workers (flatflash-bench's -parallel flag). Reports are byte-identical
+	// either way.
 	parallelWorkers int
 )
 
 // SetParallel makes subsequent experiment runs execute each simulation on
-// the psim conservative parallel engine with workers workers (0 or 1, the
-// default, keeps the sequential event loop). Only the multi-LP engines —
-// the consolidate and fleet sweeps — use it; reports never change, only
-// wall-clock time does.
+// workers workers (0 or 1, the default, keeps one goroutine per
+// simulation). Only the consolidate and fleet sweeps use it: mtsim spreads
+// a point's solo and shared runs, the fleet spreads its shards' epoch
+// windows. Reports never change, only wall-clock time does.
 func SetParallel(workers int) { parallelWorkers = workers }
 
 // SetMapCache makes subsequent experiment runs build every hierarchy with

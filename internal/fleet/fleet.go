@@ -47,11 +47,10 @@ type Config struct {
 	// selects 20µs (a page transit over the inter-shard link).
 	MigrateLat sim.Duration
 
-	// Parallel, when >= 2, executes the shards as psim logical processes on
-	// that many workers (see parallel.go). Reports stay byte-identical to
-	// the sequential loop. Single-shard configs and runs with a shared
-	// flight recorder (a single-writer sink) fall back to the sequential
-	// loop regardless.
+	// Parallel is the epoch loop's worker count: with two or more, each
+	// epoch's routed arrivals are served on that many workers, one shard per
+	// worker (see migrator.run). Reports are byte-identical at every
+	// setting. A shared flight recorder in Server forces one worker.
 	Parallel int
 }
 
@@ -99,8 +98,8 @@ type Result struct {
 
 // Run executes the fleet: arrivals stream from the generator in virtual-time
 // order, route through the ring (as overridden by migrations) at page
-// granularity, and queue on their shard's server. Single-goroutine, seeded,
-// byte-deterministic.
+// granularity, and queue on their shard's server. Seeded and
+// byte-deterministic at every worker count.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -129,24 +128,21 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	res := &Result{
-		Shards:         servers,
-		Arrivals:       cfg.Arrivals,
-		SLO:            cfg.Server.SLO,
-		MigrateEpochNS: int64(cfg.MigrateEpoch),
-		KeyShare:       make([]float64, cfg.Shards),
-	}
-	var routed []int64
-	if cfg.useParallel() {
-		routed, err = runParallel(cfg, gen, ring, servers, dev, &res.Migrations)
-	} else {
-		routed, err = runSequential(cfg, gen, ring, servers, dev, &res.Migrations)
-	}
+	m := newMigrator(cfg, servers, uint64(dev.PageSize))
+	routed, err := m.run(gen, ring)
 	if err != nil {
 		return nil, err
 	}
 	for _, s := range servers {
 		s.Finish()
+	}
+	res := &Result{
+		Shards:         servers,
+		Arrivals:       cfg.Arrivals,
+		SLO:            cfg.Server.SLO,
+		Migrations:     m.migrations,
+		MigrateEpochNS: int64(cfg.MigrateEpoch),
+		KeyShare:       make([]float64, cfg.Shards),
 	}
 	total := int64(0)
 	for _, n := range routed {
@@ -160,59 +156,37 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// useParallel reports whether the run goes through the psim engine: opted
-// in, more than one shard to parallelize, and no shared single-writer
-// flight-recorder sink.
-func (c Config) useParallel() bool {
-	return c.Parallel >= 2 && c.Shards >= 2 && c.Server.Flight == nil
-}
-
-// runSequential is the single-goroutine event loop: arrivals stream from
-// the generator in virtual-time order through the migrator and ring onto
-// their shard's server.
-func runSequential(cfg Config, gen *workload.ArrivalGen, ring *Ring, servers []*mtsim.Server, dev core.Config, migrations *int64) ([]int64, error) {
-	pageSize := uint64(dev.PageSize)
-	m := newMigrator(cfg, servers)
-	routed := make([]int64, cfg.Shards)
-	for {
-		a, ok := gen.Next()
-		if !ok {
-			break
-		}
-		m.maybeRebalance(a.At, migrations)
-		page := a.Op.Off / pageSize
-		sh := m.owner(page)
-		if sh < 0 {
-			sh = ring.Lookup(page)
-		}
-		routed[sh]++
-		admitted, err := servers[sh].Arrive(a.At, a.Op)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: shard %d arrival at %d: %w", sh, a.At, err)
-		}
-		m.observe(sh, page, admitted)
+// workers is the epoch loop's worker count: Parallel, capped at the shard
+// count. A shared flight recorder forces one worker: it is a single-writer
+// sink whose triggers must land in arrival order, not shard by shard.
+func (c Config) workers() int {
+	if c.Parallel < 2 || c.Server.Flight != nil {
+		return 1
 	}
-	return routed, nil
+	return min(c.Parallel, c.Shards)
 }
 
-// migrator tracks per-epoch page heat and promotion churn and rebalances
-// ownership when a shard's DRAM budget saturates. With MigrateEpoch == 0 it
-// is inert and allocation-free, so the degenerate equivalence runs pay
-// nothing for it.
+// migrator owns the fleet's shards between epoch boundaries: it serves
+// routed arrivals, tracks per-epoch page heat and promotion churn, and
+// rebalances ownership when a shard's DRAM budget saturates. With
+// MigrateEpoch == 0 its migration state is inert and allocation-free, so the
+// degenerate equivalence runs pay nothing for it.
 type migrator struct {
-	cfg      Config
-	servers  []*mtsim.Server
-	override map[uint64]int // page -> shard, set by migrations
-	heat     []map[uint64]int64
-	admitted []int64
-	promoted []int64 // promotion count at the last epoch boundary
-	next     sim.Time
-	pages    int
-	lat      sim.Duration
+	cfg        Config
+	servers    []*mtsim.Server
+	pageSize   uint64
+	override   map[uint64]int // page -> shard, set by migrations
+	heat       []map[uint64]int64
+	admitted   []int64
+	promoted   []int64 // promotion count at the last epoch boundary
+	next       sim.Time
+	pages      int
+	lat        sim.Duration
+	migrations int64
 }
 
-func newMigrator(cfg Config, servers []*mtsim.Server) *migrator {
-	m := &migrator{cfg: cfg, servers: servers}
+func newMigrator(cfg Config, servers []*mtsim.Server, pageSize uint64) *migrator {
+	m := &migrator{cfg: cfg, servers: servers, pageSize: pageSize}
 	if cfg.MigrateEpoch <= 0 || cfg.Shards < 2 {
 		return m
 	}
@@ -235,6 +209,85 @@ func newMigrator(cfg Config, servers []*mtsim.Server) *migrator {
 	return m
 }
 
+// run is the fleet's epoch loop. Arrivals stream from the generator in
+// virtual-time order and route through the migration overrides, then the
+// ring. With one worker each arrival is served as soon as it is routed.
+// With more, routed arrivals collect in per-shard windows, served
+// concurrently one shard per worker whenever the next arrival crosses an
+// epoch boundary, and once more at the end (so a run without migration is
+// one window). Either way a boundary's rebalance runs here, after every
+// earlier arrival was served: shards interact only there, so each shard
+// sees the same calls in the same order at every worker count. It returns
+// each shard's routed-arrival count.
+func (m *migrator) run(gen *workload.ArrivalGen, ring *Ring) ([]int64, error) {
+	workers := m.cfg.workers()
+	var windows [][]workload.Arrival
+	if workers > 1 {
+		windows = make([][]workload.Arrival, len(m.servers))
+	}
+	flush := func() error {
+		return sim.ForEach(len(windows), workers, func(sh int) error {
+			err := m.serveWindow(sh, windows[sh])
+			windows[sh] = windows[sh][:0]
+			return err
+		})
+	}
+	routed := make([]int64, len(m.servers))
+	for {
+		a, ok := gen.Next()
+		if !ok {
+			break
+		}
+		if m.due(a.At) {
+			if err := flush(); err != nil {
+				return nil, err
+			}
+			m.rebalanceThrough(a.At)
+		}
+		page := a.Op.Off / m.pageSize
+		sh := m.owner(page)
+		if sh < 0 {
+			sh = ring.Lookup(page)
+		}
+		routed[sh]++
+		if windows != nil {
+			windows[sh] = append(windows[sh], a)
+		} else if err := m.serve(sh, a); err != nil {
+			return nil, err
+		}
+	}
+	return routed, flush()
+}
+
+// serveWindow serves shard sh's buffered arrivals in arrival order. It runs
+// concurrently with the other shards' windows.
+//
+//flatflash:lp
+func (m *migrator) serveWindow(sh int, window []workload.Arrival) error {
+	for _, a := range window {
+		if err := m.serve(sh, a); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// serve delivers one routed arrival to shard sh and records its heat for
+// the epoch. It touches only shard sh's server and migrator slots.
+//
+//flatflash:lp
+func (m *migrator) serve(sh int, a workload.Arrival) error {
+	admitted, err := m.servers[sh].Arrive(a.At, a.Op)
+	if err != nil {
+		return fmt.Errorf("fleet: shard %d arrival at %d: %w", sh, a.At, err)
+	}
+	if admitted && m.enabled() {
+		m.heat[sh][a.Op.Off/m.pageSize]++
+		m.admitted[sh]++
+	}
+	return nil
+}
+
 func (m *migrator) enabled() bool { return m.override != nil }
 
 // owner returns the migrated owner of page, or -1 for ring routing.
@@ -248,22 +301,13 @@ func (m *migrator) owner(page uint64) int {
 	return -1
 }
 
-// observe records one routed arrival for the epoch's heat accounting.
-func (m *migrator) observe(sh int, page uint64, admitted bool) {
-	if !m.enabled() || !admitted {
-		return
-	}
-	m.heat[sh][page]++
-	m.admitted[sh]++
-}
+// due reports whether an arrival at now crosses an epoch boundary.
+func (m *migrator) due(now sim.Time) bool { return m.enabled() && now >= m.next }
 
-// maybeRebalance runs the epoch boundaries at or before now.
-func (m *migrator) maybeRebalance(now sim.Time, migrations *int64) {
-	if !m.enabled() {
-		return
-	}
-	for now >= m.next {
-		m.rebalance(m.next, migrations)
+// rebalanceThrough runs the epoch boundaries at or before now.
+func (m *migrator) rebalanceThrough(now sim.Time) {
+	for m.due(now) {
+		m.rebalance(m.next)
 		m.next = m.next.Add(m.cfg.MigrateEpoch)
 	}
 }
@@ -272,13 +316,6 @@ func (m *migrator) maybeRebalance(now sim.Time, migrations *int64) {
 type pageHeat struct {
 	page uint64
 	n    int64
-}
-
-// pageMove is one planned migration: page leaves shard src for shard dst.
-type pageMove struct {
-	page uint64
-	src  int
-	dst  int
 }
 
 // sortHeat flattens an epoch heat map into the deterministic selection
@@ -298,62 +335,43 @@ func sortHeat(heat map[uint64]int64) []pageHeat {
 	return hot
 }
 
-// planRebalance computes one epoch's migrations: every saturated shard
-// (promotion churn at or above its DRAM frame budget) hands its hottest
-// pages to the least-loaded shard. It is a pure function of its inputs —
-// heat[i] already in sortHeat order — shared verbatim by the sequential
-// migrator and the parallel coordinator LP, so the two engines cannot drift.
-func planRebalance(heat [][]pageHeat, admitted, churn []int64, frames []int, maxPages int) []pageMove {
-	var moves []pageMove
-	for src := range heat {
-		if churn[src] < int64(frames[src]) || len(heat[src]) == 0 {
+// rebalance runs one epoch boundary: every saturated shard (promotion churn
+// at or above its DRAM frame budget) hands its hottest pages to the
+// least-loaded shard, each move an ownership override plus a copy-cost
+// Occupy on both devices. Then the epoch accounting resets.
+func (m *migrator) rebalance(at sim.Time) {
+	for src, s := range m.servers {
+		churn := s.Promotions() - m.promoted[src]
+		if churn < int64(s.DRAMFrames()) || len(m.heat[src]) == 0 {
 			continue
 		}
 		dst := -1
-		for cand := range heat {
+		for cand := range m.servers {
 			if cand == src {
 				continue
 			}
-			if dst < 0 || admitted[cand] < admitted[dst] {
+			if dst < 0 || m.admitted[cand] < m.admitted[dst] {
 				dst = cand
 			}
 		}
-		if dst < 0 || admitted[dst] >= admitted[src] {
+		if dst < 0 || m.admitted[dst] >= m.admitted[src] {
 			continue // nowhere meaningfully cooler to move to
 		}
-		hot := heat[src]
-		if len(hot) > maxPages {
-			hot = hot[:maxPages]
+		hot := sortHeat(m.heat[src])
+		if len(hot) > m.pages {
+			hot = hot[:m.pages]
 		}
 		for _, ph := range hot {
-			moves = append(moves, pageMove{ph.page, src, dst})
+			m.override[ph.page] = dst
+			m.servers[src].Occupy(at, m.lat)
+			m.servers[dst].Occupy(at, m.lat)
+			m.migrations++
 		}
 	}
-	return moves
-}
-
-// rebalance runs one epoch boundary: plan the moves, apply them (ownership
-// override plus a copy-cost Occupy on both devices per page), and reset the
-// epoch accounting.
-func (m *migrator) rebalance(at sim.Time, migrations *int64) {
-	heat := make([][]pageHeat, len(m.servers))
-	churn := make([]int64, len(m.servers))
-	frames := make([]int, len(m.servers))
-	for i := range m.servers {
-		heat[i] = sortHeat(m.heat[i])
-		churn[i] = m.servers[i].Promotions() - m.promoted[i]
-		frames[i] = m.servers[i].DRAMFrames()
-	}
-	for _, mv := range planRebalance(heat, m.admitted, churn, frames, m.pages) {
-		m.override[mv.page] = mv.dst
-		m.servers[mv.src].Occupy(at, m.lat)
-		m.servers[mv.dst].Occupy(at, m.lat)
-		*migrations++
-	}
-	for i := range m.servers {
+	for i, s := range m.servers {
 		m.heat[i] = make(map[uint64]int64)
 		m.admitted[i] = 0
-		m.promoted[i] = m.servers[i].Promotions()
+		m.promoted[i] = s.Promotions()
 	}
 }
 

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"flatflash/internal/core"
@@ -55,6 +56,7 @@ func TestRunValidates(t *testing.T) {
 		func(c *Config) { c.Server.QueueDepth = -1 },
 		func(c *Config) { c.MigrateEpoch = -1 },
 		func(c *Config) { c.MigratePages = -1 },
+		func(c *Config) { c.Parallel = -1 },
 		func(c *Config) { r, _ := PinnedRing(3, 0); c.Ring = r }, // ring/shard mismatch
 	}
 	for i, mut := range mutate {
@@ -286,5 +288,18 @@ func TestSweepValidates(t *testing.T) {
 	cfg.ShardCounts = []int{0}
 	if _, err := Sweep(cfg); err == nil {
 		t.Error("zero shard count accepted")
+	}
+	// Negative worker counts are a sweep-level error, not one per rate.
+	for _, mut := range []func(*SweepConfig){
+		func(c *SweepConfig) { c.Workers = -1 },
+		func(c *SweepConfig) { c.Parallel = -3 },
+	} {
+		cfg = sweepConfig(1)
+		mut(&cfg)
+		_, err := Sweep(cfg)
+		if err == nil || !strings.HasPrefix(err.Error(), "fleet: negative worker count") {
+			t.Errorf("workers=%d parallel=%d: got %v, want a sweep-level negative worker count error",
+				cfg.Workers, cfg.Parallel, err)
+		}
 	}
 }

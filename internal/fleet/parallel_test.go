@@ -10,18 +10,18 @@ import (
 
 // withGOMAXPROCS runs fn with the scheduler pinned to procs cores and
 // restores the previous setting afterwards, so the byte-identity claim is
-// checked both with real parallelism and with all LPs multiplexed on one
-// core.
+// checked both with real parallelism and with every worker multiplexed on
+// one core.
 func withGOMAXPROCS(procs int, fn func()) {
 	prev := runtime.GOMAXPROCS(procs)
 	defer runtime.GOMAXPROCS(prev)
 	fn()
 }
 
-// The tentpole contract: the psim engine must reproduce the sequential
-// event loop byte for byte, whatever the worker count and whatever
-// GOMAXPROCS, on both a migration-free fleet and one that exercises the
-// coordinator's epoch/heat/migrate message protocol.
+// The epoch loop's contract: serving per-shard windows on several workers
+// must reproduce the one-worker loop byte for byte, whatever the worker
+// count and whatever GOMAXPROCS, on both a migration-free fleet (one window
+// for the whole run) and one that rebalances at epoch boundaries.
 func TestParallelMatchesSequential(t *testing.T) {
 	plain := fleetConfig(4, 500000)
 	plain.Arrivals.Ops = 4000
@@ -63,12 +63,15 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 // Single-shard fleets and fleets with a shared flight recorder must fall
-// back to the sequential loop (and still produce the sequential report).
+// back to one worker (and still produce the sequential report).
 func TestParallelFallsBackToSequential(t *testing.T) {
 	single := fleetConfig(1, 200000)
 	single.Arrivals.Ops = 2000
 	want := fleetReport(t, single)
 	single.Parallel = 4
+	if n := single.workers(); n != 1 {
+		t.Fatalf("single-shard fleet runs %d workers, want 1", n)
+	}
 	if got := fleetReport(t, single); got != want {
 		t.Fatalf("single-shard parallel run diverges:\n--- seq ---\n%s--- par ---\n%s", want, got)
 	}
@@ -77,17 +80,17 @@ func TestParallelFallsBackToSequential(t *testing.T) {
 	flight.Arrivals.Ops = 2000
 	flight.Server.Flight = telemetry.NewFlightRecorder(
 		telemetry.DefaultFlightCapacity, telemetry.DefaultFlightSnapshots)
-	if flight.useParallel() {
-		t.Fatal("shared flight recorder must force the sequential loop")
-	}
 	flight.Parallel = 4
+	if n := flight.workers(); n != 1 {
+		t.Fatalf("shared flight recorder runs %d workers, want 1", n)
+	}
 	if _, err := Run(flight); err != nil {
 		t.Fatalf("flight-recorder fallback run failed: %v", err)
 	}
 }
 
 // Sweep-level composition: Workers spreads grid points across goroutines
-// while Parallel spreads LPs inside each point; the report must not care.
+// while Parallel spreads shards inside each point; the report must not care.
 func TestSweepParallelComposes(t *testing.T) {
 	base := sweepConfig(1)
 	base.Arrivals.Ops = 1500
@@ -101,8 +104,8 @@ func TestSweepParallelComposes(t *testing.T) {
 }
 
 // Stress: randomized fleet shapes — shard counts, rates, epochs, seeds —
-// must stay byte-identical between the two engines. Run under -race this
-// doubles as a data-race hunt over the LP protocol.
+// must stay byte-identical between one worker and several. Run under -race
+// this doubles as a data-race hunt over the per-shard windows.
 func TestParallelStressRandomShapes(t *testing.T) {
 	trials := 6
 	if testing.Short() {

@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"flatflash/internal/core"
 	"flatflash/internal/mtsim"
@@ -44,10 +43,10 @@ type SweepConfig struct {
 	// single-writer sink.
 	Workers int
 
-	// Parallel, when >= 2, runs each point's shards as psim logical
-	// processes on that many workers (see Config.Parallel). It composes
-	// with Workers: Workers spreads points, Parallel spreads the shards
-	// inside a point — reports stay byte-identical either way.
+	// Parallel, when >= 2, serves each point's shards on that many workers
+	// (see Config.Parallel). It composes with Workers: Workers spreads
+	// points, Parallel spreads the shards inside a point — reports stay
+	// byte-identical either way.
 	Parallel int
 }
 
@@ -55,6 +54,9 @@ type SweepConfig struct {
 func (c SweepConfig) Validate() error {
 	if len(c.ShardCounts) == 0 || len(c.Rates) == 0 || len(c.Seeds) == 0 {
 		return fmt.Errorf("fleet: sweep needs shard counts, rates, and seeds")
+	}
+	if c.Workers < 0 || c.Parallel < 0 {
+		return fmt.Errorf("fleet: negative worker count (workers %d, parallel %d)", c.Workers, c.Parallel)
 	}
 	for _, n := range c.ShardCounts {
 		if n <= 0 {
@@ -118,35 +120,20 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 		}
 	}
 	workers := cfg.Workers
-	if workers <= 1 || cfg.Server.Flight != nil {
+	if cfg.Server.Flight != nil {
 		workers = 1
 	}
-	if workers > len(points) {
-		workers = len(points)
-	}
-	errs := make([]error, len(points))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				p := &points[i]
-				p.Res, errs[i] = Run(cfg.pointConfig(p.Shards, p.Rate, p.Seed))
-			}
-		}()
-	}
-	for i := range points {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("fleet: point %d (shards=%d rate=%v seed=%d): %w",
-				i, points[i].Shards, points[i].Rate, points[i].Seed, err)
+	err := sim.ForEach(len(points), workers, func(i int) error {
+		p := &points[i]
+		var err error
+		if p.Res, err = Run(cfg.pointConfig(p.Shards, p.Rate, p.Seed)); err != nil {
+			return fmt.Errorf("fleet: point %d (shards=%d rate=%v seed=%d): %w",
+				i, p.Shards, p.Rate, p.Seed, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &SweepResult{Points: points}, nil
 }

@@ -26,7 +26,6 @@ import (
 
 	"flatflash/internal/core"
 	"flatflash/internal/promote"
-	"flatflash/internal/psim"
 	"flatflash/internal/sim"
 	"flatflash/internal/stats"
 	"flatflash/internal/telemetry"
@@ -96,9 +95,9 @@ type Config struct {
 	Flight *telemetry.FlightRecorder
 
 	// Parallel, when >= 2, executes the N solo golden runs and the shared
-	// run as N+1 independent psim logical processes on that many workers.
-	// The runs share no virtual-time state — each owns a private device —
-	// so the reports stay byte-identical to the sequential order.
+	// run as N+1 independent tasks on that many workers. The runs share no
+	// virtual-time state — each owns a private device — so the reports stay
+	// byte-identical to the sequential order.
 	Parallel int
 }
 
@@ -106,6 +105,9 @@ type Config struct {
 func (c Config) Validate() error {
 	if len(c.Tenants) == 0 {
 		return fmt.Errorf("mtsim: no tenants")
+	}
+	if c.Parallel < 0 {
+		return fmt.Errorf("mtsim: negative parallel worker count %d", c.Parallel)
 	}
 	for i, ts := range c.Tenants {
 		if err := ts.Validate(); err != nil {
@@ -215,9 +217,9 @@ func soloRun(dev core.Config, spec TenantSpec, seed uint64) (*stats.Histogram, s
 // Run executes the consolidation: one solo golden run per tenant, then the
 // shared run with all tenants interleaved on one device in global
 // virtual-time order. With cfg.Parallel >= 2 the N+1 runs — each a private
-// device with its own virtual clock — execute as psim logical processes
-// instead of in sequence; every run's bytes are unchanged, only the
-// wall-clock order is.
+// device with its own virtual clock — execute on that many workers instead
+// of in sequence; every run's bytes are unchanged, only the wall-clock order
+// is.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -229,43 +231,27 @@ func Run(cfg Config) (*Result, error) {
 		ArbiterOn: !cfg.DisableArbiter,
 		Tenants:   make([]TenantResult, len(cfg.Tenants)),
 	}
-
-	if cfg.Parallel >= 2 {
-		lps := make([]psim.LP, 0, len(cfg.Tenants)+1)
-		for i, spec := range cfg.Tenants {
-			lps = append(lps, &psim.TaskLP{F: func() error {
-				return soloInto(res, dev, spec, cfg.Seed, i)
-			}})
+	// Tasks 0..N-1 are the solo golden runs (same workload, same seed,
+	// private idle device); task N is the shared run.
+	n := len(cfg.Tenants)
+	err := sim.ForEach(n+1, cfg.Parallel, func(i int) error {
+		if i < n {
+			return soloInto(res, dev, cfg.Tenants[i], cfg.Seed, i)
 		}
-		lps = append(lps, &psim.TaskLP{F: func() error {
-			return sharedRun(cfg, dev, res)
-		}})
-		eng := &psim.Engine{LPs: lps, Lookahead: psim.Lookahead(dev.PCIe), Workers: cfg.Parallel}
-		if err := eng.Run(); err != nil {
-			return nil, err
-		}
-		// Fairness folds the solo baselines into the shared latencies, so it
-		// must wait for every LP — it is the one cross-run reduction.
-		res.Fairness = stats.JainFairness(progress(res.Tenants))
-		return res, nil
-	}
-
-	// Solo golden runs: same workload, same seed, private idle device.
-	for i, spec := range cfg.Tenants {
-		if err := soloInto(res, dev, spec, cfg.Seed, i); err != nil {
-			return nil, err
-		}
-	}
-	if err := sharedRun(cfg, dev, res); err != nil {
+		return sharedRun(cfg, dev, res)
+	})
+	if err != nil {
 		return nil, err
 	}
+	// Fairness folds the solo baselines into the shared latencies, so it
+	// waits for every run — it is the one cross-run reduction.
 	res.Fairness = stats.JainFairness(progress(res.Tenants))
 	return res, nil
 }
 
 // soloInto runs tenant i's solo golden run and stores the baseline. It runs
-// as a psim LP in parallel mode, so it must stay confined to its arguments
-// and its disjoint slice of res.
+// concurrently with the other runs in parallel mode, so it must stay
+// confined to its arguments and its disjoint slice of res.
 //
 //flatflash:lp
 func soloInto(res *Result, dev core.Config, spec TenantSpec, seed uint64, i int) error {
@@ -283,8 +269,8 @@ func soloInto(res *Result, dev core.Config, spec TenantSpec, seed uint64, i int)
 }
 
 // sharedRun executes the shared portion of the consolidation — one device,
-// every tenant an actor on it — and fills the shared fields of res. It runs
-// as a psim LP in parallel mode, concurrent with the solo runs.
+// every tenant an actor on it — and fills the shared fields of res. In
+// parallel mode it runs concurrently with the solo runs.
 //
 //flatflash:lp
 func sharedRun(cfg Config, dev core.Config, res *Result) error {

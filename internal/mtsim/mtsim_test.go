@@ -2,6 +2,7 @@ package mtsim
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"flatflash/internal/core"
@@ -42,6 +43,11 @@ func TestRunValidates(t *testing.T) {
 	bad.Tenants[0].Ops = 0
 	if _, err := Run(bad); err == nil {
 		t.Fatal("zero ops accepted")
+	}
+	bad = testConfig(1)
+	bad.Parallel = -1
+	if _, err := Run(bad); err == nil {
+		t.Fatal("negative parallel worker count accepted")
 	}
 }
 
@@ -218,5 +224,18 @@ func TestSweepValidates(t *testing.T) {
 	}
 	if _, err := Sweep(bad); err == nil {
 		t.Fatal("bogus mix in spec accepted")
+	}
+	good := bad
+	good.MixSpecs = []string{"zipf"}
+	for _, mut := range []func(*SweepConfig){
+		func(c *SweepConfig) { c.Workers = -1 },
+		func(c *SweepConfig) { c.Parallel = -2 },
+	} {
+		cfg := good
+		mut(&cfg)
+		if _, err := Sweep(cfg); err == nil || !strings.Contains(err.Error(), "negative worker count") {
+			t.Errorf("workers=%d parallel=%d: got %v, want a negative worker count error",
+				cfg.Workers, cfg.Parallel, err)
+		}
 	}
 }

@@ -22,7 +22,7 @@ func runReport(t *testing.T, cfg Config) string {
 }
 
 // The consolidation engine's parallel mode runs the N solo golden runs and
-// the shared run as independent psim LPs; whatever the worker count and
+// the shared run as independent tasks; whatever the worker count and
 // GOMAXPROCS, the report must be byte-identical to the sequential loop.
 func TestParallelMatchesSequential(t *testing.T) {
 	cfg := testConfig(4)
@@ -44,7 +44,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// A single tenant still has two LPs (its solo run plus the shared run), so
+// A single tenant still has two tasks (its solo run plus the shared run), so
 // parallel mode must hold even at the degenerate size.
 func TestParallelSingleTenant(t *testing.T) {
 	cfg := testConfig(1)
@@ -57,7 +57,7 @@ func TestParallelSingleTenant(t *testing.T) {
 }
 
 // Sweep-level composition: Workers spreads grid points, Parallel spreads
-// the solo/shared LPs inside each point. The report must not care.
+// the solo/shared runs inside each point. The report must not care.
 func TestSweepParallelComposes(t *testing.T) {
 	base := SweepConfig{
 		Device:       testDevice(),

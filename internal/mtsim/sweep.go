@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 
 	"flatflash/internal/core"
 	"flatflash/internal/sim"
@@ -54,10 +53,10 @@ type SweepConfig struct {
 	// execution like Probe and Registry do.
 	Flight *telemetry.FlightRecorder
 
-	// Parallel, when >= 2, runs each point's solo and shared runs as psim
-	// logical processes on that many workers (see Config.Parallel). It
-	// composes with Workers: Workers spreads points, Parallel spreads the
-	// runs inside a point — reports stay byte-identical either way.
+	// Parallel, when >= 2, runs each point's solo and shared runs on that
+	// many workers (see Config.Parallel). It composes with Workers: Workers
+	// spreads points, Parallel spreads the runs inside a point — reports
+	// stay byte-identical either way.
 	Parallel int
 }
 
@@ -65,6 +64,9 @@ type SweepConfig struct {
 func (c SweepConfig) Validate() error {
 	if len(c.TenantCounts) == 0 || len(c.MixSpecs) == 0 || len(c.Seeds) == 0 {
 		return fmt.Errorf("mtsim: sweep needs tenant counts, mix specs, and seeds")
+	}
+	if c.Workers < 0 || c.Parallel < 0 {
+		return fmt.Errorf("mtsim: negative worker count (workers %d, parallel %d)", c.Workers, c.Parallel)
 	}
 	for _, n := range c.TenantCounts {
 		if n <= 0 {
@@ -139,35 +141,20 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 	}
 
 	workers := cfg.Workers
-	if workers <= 1 || cfg.Probe != nil || cfg.Registry != nil || cfg.Flight != nil {
+	if cfg.Probe != nil || cfg.Registry != nil || cfg.Flight != nil {
 		workers = 1
 	}
-	if workers > len(points) {
-		workers = len(points)
-	}
-	errs := make([]error, len(points))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				p := &points[i]
-				p.Res, errs[i] = Run(cfg.pointConfig(p.TenantCount, p.MixSpec, p.Seed))
-			}
-		}()
-	}
-	for i := range points {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("mtsim: point %d (tenants=%d mix=%s seed=%d): %w",
-				i, points[i].TenantCount, points[i].MixSpec, points[i].Seed, err)
+	err := sim.ForEach(len(points), workers, func(i int) error {
+		p := &points[i]
+		var err error
+		if p.Res, err = Run(cfg.pointConfig(p.TenantCount, p.MixSpec, p.Seed)); err != nil {
+			return fmt.Errorf("mtsim: point %d (tenants=%d mix=%s seed=%d): %w",
+				i, p.TenantCount, p.MixSpec, p.Seed, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &SweepResult{Points: points}, nil
 }

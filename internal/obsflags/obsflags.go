@@ -23,7 +23,7 @@ const (
 	SLOHelp        = "per-op latency SLO; enables violation/burn counters and p99-over-SLO anomaly triggers (0 disables)"
 	ShedWaitHelp   = "open-loop admission control: shed an arrival whose estimated queue wait exceeds this (0 defaults to half the SLO)"
 	MapCacheHelp   = "demand-page the FTL's translation map, keeping this many translation pages resident (0 keeps the whole map in memory)"
-	ParallelHelp   = "run multi-shard/multi-tenant simulations on the conservative parallel engine with this many workers; reports stay byte-identical (0 keeps the sequential event loop)"
+	ParallelHelp   = "run each multi-shard/multi-tenant simulation on this many workers (fleet shards per epoch, consolidation solo and shared runs); reports stay byte-identical (0 keeps one goroutine per simulation)"
 )
 
 // Flags holds the parsed observability flag values.

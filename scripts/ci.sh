@@ -172,10 +172,11 @@ grep -q "fleet sweep points=4" /tmp/fleet_run1.txt || {
 echo "fleet smoke ok"
 
 echo "== parallel engine smoke =="
-# One experiment through the real CLI on the conservative parallel engine,
-# at GOMAXPROCS=1 and GOMAXPROCS=4, byte-compared against the sequential
-# event loop — the ISSUE 9 determinism contract end to end: reports must
-# not depend on the engine, the worker count, or the machine.
+# The consolidate experiment and a migrating fleet sweep through the real
+# CLI with several workers, at GOMAXPROCS=1 and GOMAXPROCS=4, byte-compared
+# against the one-worker run: reports must not depend on the worker count
+# or the machine. The fleet sweep migrates pages at many epoch boundaries,
+# so it exercises the epoch loop's window flushes and rebalances.
 /tmp/flatflash-bench -quick consolidate > /tmp/psim_seq.txt
 GOMAXPROCS=1 /tmp/flatflash-bench -quick -parallel 4 consolidate > /tmp/psim_par1.txt
 GOMAXPROCS=4 /tmp/flatflash-bench -quick -parallel 4 consolidate > /tmp/psim_par4.txt
@@ -183,6 +184,41 @@ cmp /tmp/psim_seq.txt /tmp/psim_par1.txt || {
     echo "parallel report differs from sequential at GOMAXPROCS=1"; exit 1; }
 cmp /tmp/psim_seq.txt /tmp/psim_par4.txt || {
     echo "parallel report differs from sequential at GOMAXPROCS=4"; exit 1; }
+migr_run() {
+    /tmp/flatflash-bench fleet -shards 2,4 -seeds 1 -dram 65536 -region 1048576 \
+        -rates 400000 -ops 40000 -migrate-epoch 1ms -parallel "$1"
+}
+migr_run 0 > /tmp/migr_seq.txt
+grep -q "migrations=[1-9]" /tmp/migr_seq.txt || {
+    echo "migrating fleet sweep migrated nothing"; exit 1; }
+for procs in 1 4; do
+    for par in 2 4; do
+        GOMAXPROCS=$procs migr_run $par > /tmp/migr_par.txt
+        cmp /tmp/migr_seq.txt /tmp/migr_par.txt || {
+            echo "migrating fleet differs at GOMAXPROCS=$procs -parallel $par"; exit 1; }
+    done
+done
+# A shared flight recorder must see its shed_onset triggers in arrival
+# order whatever -parallel asks for.
+flight_run() {
+    GOMAXPROCS=4 /tmp/flatflash-bench fleet -shards 2,4 -rates 400000,2000000 \
+        -ops 20000 -slo 100us -flight-out /tmp/fleet_flight.jsonl -parallel "$1"
+}
+flight_run 0 > /tmp/fleet_flight_seq.txt
+cp /tmp/fleet_flight.jsonl /tmp/fleet_flight_seq.jsonl
+flight_run 4 > /tmp/fleet_flight_par.txt
+cmp /tmp/fleet_flight_seq.txt /tmp/fleet_flight_par.txt || {
+    echo "fleet flight-recorder report differs with -parallel 4"; exit 1; }
+cmp /tmp/fleet_flight_seq.jsonl /tmp/fleet_flight.jsonl || {
+    echo "fleet flight dump differs with -parallel 4"; exit 1; }
+# Negative worker counts are rejected with a non-zero exit on every path.
+for args in "consolidate -parallel -2 -workers -1" "-parallel -3 consolidate" \
+        "fleet -parallel -3" "fleet -workers -1"; do
+    # shellcheck disable=SC2086 # word splitting of $args is intended
+    if /tmp/flatflash-bench $args > /dev/null 2>&1; then
+        echo "flatflash-bench $args exited 0"; exit 1
+    fi
+done
 echo "parallel engine smoke ok"
 
 echo "== demand map smoke =="
@@ -253,9 +289,5 @@ cover_floor ./internal/workload 80
 # its replacement/GTD bookkeeping is pure policy code — cheap to cover, and
 # costly to get wrong silently.
 cover_floor ./internal/mapcache 80
-# The parallel engine's merge/barrier logic decides whether every parallel
-# report can be trusted; uncovered branches there are silent determinism
-# holes.
-cover_floor ./internal/psim 80
 
 echo "ci: all green"
