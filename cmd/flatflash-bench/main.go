@@ -10,6 +10,9 @@
 //
 // With no experiment arguments it runs everything in paper order. Use
 // -quick for a fast pass with reduced sizes (same shapes, more noise).
+// The experiments run concurrently on every core (GOMAXPROCS) and print in
+// order; with -trace-out, -metrics-out or any attribution flag they run
+// one at a time. Unknown experiment names are rejected before any runs.
 // The crashsweep subcommand runs the crash-consistency harness and exits
 // non-zero if any recovery invariant is violated. The consolidate
 // subcommand sweeps multi-tenant consolidation runs and reports per-tenant
@@ -137,17 +140,11 @@ func main() {
 	}
 	ids := flag.Args()
 	if len(ids) == 0 {
-		if err := experiments.RunAll(os.Stdout, scale); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	} else {
-		for _, id := range ids {
-			if err := experiments.Run(os.Stdout, id, scale); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
+		ids = experiments.IDs()
+	}
+	if err := experiments.RunIDs(os.Stdout, ids, scale); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
 	reg.Finish(reg.LastObserved())

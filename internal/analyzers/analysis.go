@@ -28,7 +28,8 @@
 //	                       its own body is not allocation-gated.
 //	//flatflash:lp         on a function's doc comment opts it into the
 //	                       sharedstate gate for bodies that run
-//	                       concurrently (fleet shard windows, mtsim runs).
+//	                       concurrently (fleet shard windows, mtsim runs,
+//	                       the paper suite's experiments).
 //	//flatflash:deterministic
 //	                       on a function's doc comment opts it into the
 //	                       mapiter/detflow ordered-output gates even when

@@ -8,9 +8,10 @@ import (
 
 // sharedstate is the compile-time side of the parallel runs' determinism
 // contract. The fleet's epoch loop serves every shard's window concurrently
-// between epoch boundaries, and mtsim runs each tenant's solo run beside the
-// shared one; the byte-identical-report guarantee holds only if each of
-// those bodies touches nothing but its own state and its arguments. The
+// between epoch boundaries, mtsim runs each tenant's solo run beside the
+// shared one, and the paper suite renders its experiments side by side; the
+// byte-identical-report guarantee holds only if each of those bodies
+// touches nothing but its own state and its arguments. The
 // GOMAXPROCS-matrix equivalence tests prove that dynamically for the
 // configurations they drive; sharedstate gates the source itself. A
 // function opts in by carrying //flatflash:lp in its doc comment, and every

@@ -45,10 +45,19 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// TestRunUnknownID: an unknown id anywhere in the list fails the call
+// before any experiment runs, so nothing reaches the writer.
 func TestRunUnknownID(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Run(&buf, "fig99", Quick); err == nil {
 		t.Fatal("unknown id accepted")
+	}
+	err := RunIDs(&buf, []string{"table2", "fig8", "nosuch"}, Quick)
+	if err == nil || !strings.Contains(err.Error(), `"nosuch"`) {
+		t.Fatalf("err = %v, want an unknown-experiment error naming nosuch", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("printed %d bytes before rejecting the list:\n%s", buf.Len(), buf.String())
 	}
 }
 

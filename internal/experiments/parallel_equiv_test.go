@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 )
 
@@ -28,5 +29,25 @@ func TestParallelReportsByteIdentical(t *testing.T) {
 					id, seq.String(), par.String())
 			}
 		})
+	}
+}
+
+// TestRunIDsWorkersByteIdentical runs a cheap subset of the suite through
+// RunIDs on four workers and on one, and requires the same bytes. Under the
+// race detector it also checks that concurrently running experiments share
+// no unsynchronised state (the host-side memos, the package settings).
+func TestRunIDsWorkersByteIdentical(t *testing.T) {
+	ids := []string{"table2", "fig9a", "fig13", "fig7", "mapamp"}
+	run := func(procs int) []byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		var buf bytes.Buffer
+		if err := RunIDs(&buf, ids, Quick); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	one, four := run(1), run(4)
+	if !bytes.Equal(one, four) {
+		t.Fatalf("four workers changed the reports:\n--- one ---\n%s--- four ---\n%s", one, four)
 	}
 }

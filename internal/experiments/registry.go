@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
+
+	"flatflash/internal/sim"
 )
 
 // Runner produces the reports of one experiment.
@@ -62,24 +66,55 @@ func Describe() []string {
 }
 
 // Run executes the experiment with the given ID and prints its reports.
-func Run(w io.Writer, id string, scale Scale) error {
-	for _, e := range registry {
-		if e.id == id {
-			for _, rep := range e.runner(scale) {
-				rep.Print(w)
-			}
-			return nil
-		}
-	}
-	return fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
-}
+func Run(w io.Writer, id string, scale Scale) error { return RunIDs(w, []string{id}, scale) }
 
 // RunAll executes every experiment in paper order.
-func RunAll(w io.Writer, scale Scale) error {
-	for _, e := range registry {
-		if err := Run(w, e.id, scale); err != nil {
+func RunAll(w io.Writer, scale Scale) error { return RunIDs(w, IDs(), scale) }
+
+// RunIDs executes the given experiments and prints their reports in the
+// order of ids. Every id is checked before any experiment starts, so an
+// unknown one prints nothing. The experiments build their own hierarchies
+// on their own virtual clocks with their own seeds, so they run on
+// GOMAXPROCS workers, each into its own buffer, and the buffers are written
+// in order: the bytes do not depend on the worker count. Attached telemetry
+// or attribution sinks are single-writer and order-sensitive, so any of
+// them forces one worker.
+func RunIDs(w io.Writer, ids []string, scale Scale) error {
+	runners := make([]Runner, len(ids))
+	for i, id := range ids {
+		for _, e := range registry {
+			if e.id == id {
+				runners[i] = e.runner
+			}
+		}
+		if runners[i] == nil {
+			return fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
+		}
+	}
+	workers := runtime.GOMAXPROCS(0)
+	if telProbe != nil || telReg != nil || attSink != nil || attRec != nil {
+		workers = 1
+	}
+	bufs := make([]bytes.Buffer, len(ids))
+	// render never fails; ForEach's error is always nil.
+	_ = sim.ForEach(len(ids), workers, func(i int) error {
+		render(&bufs[i], runners[i], scale)
+		return nil
+	})
+	for i := range bufs {
+		if _, err := bufs[i].WriteTo(w); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// render runs one experiment and prints its reports into buf. RunIDs runs
+// several at once, so it must stay confined to its arguments.
+//
+//flatflash:lp
+func render(buf *bytes.Buffer, run Runner, scale Scale) {
+	for _, rep := range run(scale) {
+		rep.Print(buf)
+	}
 }

@@ -221,6 +221,32 @@ for args in "consolidate -parallel -2 -workers -1" "-parallel -3 consolidate" \
 done
 echo "parallel engine smoke ok"
 
+echo "== suite fan-out smoke =="
+# The paper suite runs its experiments on GOMAXPROCS workers and prints them
+# in registry order, so its bytes must not depend on the core count. A
+# metrics registry forces one worker: the report lines must be a plain
+# run's, and the metrics file must not depend on GOMAXPROCS either. An
+# unknown experiment is rejected before any experiment prints.
+for procs in 1 4; do
+    GOMAXPROCS=$procs /tmp/flatflash-bench -quick > /tmp/suite_p$procs.txt
+    GOMAXPROCS=$procs /tmp/flatflash-bench -quick -metrics-out /tmp/suite_m$procs.jsonl \
+        > /tmp/suite_mout$procs.txt
+    tail -n 1 /tmp/suite_mout$procs.txt | grep -q '^metrics: ' || {
+        echo "-metrics-out run at GOMAXPROCS=$procs lacks its metrics line"; exit 1; }
+    head -n -1 /tmp/suite_mout$procs.txt | cmp - /tmp/suite_p1.txt || {
+        echo "-metrics-out changed the suite report at GOMAXPROCS=$procs"; exit 1; }
+done
+cmp /tmp/suite_p1.txt /tmp/suite_p4.txt || {
+    echo "suite report differs between GOMAXPROCS=1 and GOMAXPROCS=4"; exit 1; }
+cmp /tmp/suite_m1.jsonl /tmp/suite_m4.jsonl || {
+    echo "suite metrics differ between GOMAXPROCS=1 and GOMAXPROCS=4"; exit 1; }
+if /tmp/flatflash-bench -quick fig8 nosuch > /tmp/suite_bad.txt 2> /dev/null; then
+    echo "flatflash-bench -quick fig8 nosuch exited 0"; exit 1
+fi
+[ ! -s /tmp/suite_bad.txt ] || {
+    echo "flatflash-bench printed reports before rejecting an unknown experiment"; exit 1; }
+echo "suite fan-out smoke ok"
+
 echo "== demand map smoke =="
 # The demand-paged translation map must never change data results — only
 # when map accesses cost time and what gets persisted. The equivalence
