@@ -3,7 +3,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: ci fmt vet lint lint-fix build test race bench profile fuzz crashsweep
+.PHONY: ci fmt vet lint lint-fix build test race profile fuzz crashsweep
 
 ci:
 	./scripts/ci.sh
@@ -37,9 +37,6 @@ test:
 
 race:
 	go test -race ./...
-
-bench:
-	./scripts/bench.sh BENCH_9.json
 
 # CPU profile of the full-scale paper suite (flatflash-bench with no
 # arguments): the 30 functions with the most flat samples. Everything it

@@ -127,12 +127,13 @@ func main() {
 	}
 	check(err)
 
-	// Fault injection targets the FlatFlash hierarchy's device boundaries;
-	// the baselines don't model them.
+	// Fault injection, latency attribution and the flight recorder target
+	// the FlatFlash hierarchy's device boundaries; the baselines don't model
+	// them.
+	_, isFF := h.(*core.FlatFlash)
 	var faults *fault.Engine
 	if *faultPlan != "" {
-		ff, ok := h.(*core.FlatFlash)
-		if !ok {
+		if !isFF {
 			check(fmt.Errorf("-fault-plan requires -kind flatflash, not %q", *kind))
 		}
 		f, err := os.Open(*faultPlan)
@@ -142,7 +143,10 @@ func main() {
 		check(err)
 		faults, err = fault.NewEngine(plan, *seed)
 		check(err)
-		ff.SetFaults(faults)
+	}
+	att, flightRec := obs.Build()
+	if (att != nil || flightRec != nil) && !isFF {
+		check(fmt.Errorf("-latency-out/-flight-out/-slo require -kind flatflash, not %q", *kind))
 	}
 
 	// Telemetry: the registry always runs (it feeds the ops/virtual-second
@@ -156,24 +160,7 @@ func main() {
 		tracer = telemetry.NewTracer(telemetry.DefaultTracerCapacity)
 		probe = tracer
 	}
-	// Latency attribution and the flight recorder target the FlatFlash
-	// hierarchy's component boundaries; the baselines don't model them.
-	att, flightRec := obs.Build()
-	if att != nil || flightRec != nil {
-		ff, ok := h.(*core.FlatFlash)
-		if !ok {
-			check(fmt.Errorf("-latency-out/-flight-out/-slo require -kind flatflash, not %q", *kind))
-		}
-		if flightRec != nil {
-			// The flight recorder sits ahead of any user probe: it records
-			// every span into its ring and forwards to the chained probe.
-			flightRec.Chain(probe)
-			probe = flightRec
-		}
-		ff.SetFlightRecorder(flightRec)
-		ff.SetAttribution(att)
-	}
-	h.Instrument(probe, reg)
+	h.Attach(core.Hooks{Probe: probe, Registry: reg, Attribution: att, Flight: flightRec, Faults: faults})
 
 	var t trace.Trace
 	if *replay != "" {

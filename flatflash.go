@@ -150,8 +150,8 @@ func (s *System) EnableLatencyAttribution(slo time.Duration) *telemetry.Attribut
 	if !ok {
 		return nil
 	}
-	a := telemetry.NewAttribution(sim.Duration(slo.Nanoseconds()), 0)
-	ff.SetAttribution(a)
+	a := telemetry.NewAttribution(sim.Duration(slo.Nanoseconds()), 0, nil)
+	ff.Attach(core.Hooks{Attribution: a})
 	return a
 }
 

@@ -6,15 +6,19 @@ import (
 	"flatflash/internal/sim"
 )
 
-// warmDRAMHit builds a FlatFlash and promotes one page into DRAM, returning
-// the hierarchy and an address whose reads are steady-state DRAM hits.
-func warmDRAMHit(tb testing.TB, disableFast bool) (*FlatFlash, uint64) {
+// warmDRAMHit builds a FlatFlash (given a zero Hooks when zeroHooks is set)
+// and promotes one page into DRAM, returning the hierarchy and an address
+// whose reads are steady-state DRAM hits.
+func warmDRAMHit(tb testing.TB, disableFast, zeroHooks bool) (*FlatFlash, uint64) {
 	tb.Helper()
 	cfg := testConfig()
 	cfg.DisableFastPath = disableFast
 	h, err := NewFlatFlash(cfg)
 	if err != nil {
 		tb.Fatal(err)
+	}
+	if zeroHooks {
+		h.Attach(Hooks{})
 	}
 	region, err := h.Mmap(1 << 20)
 	if err != nil {
@@ -42,7 +46,7 @@ func warmDRAMHit(tb testing.TB, disableFast bool) (*FlatFlash, uint64) {
 // BenchmarkAccessDRAMHit is the steady-state hot path: a 64 B read of a
 // DRAM-resident page with no promotion in flight (bulk-span fast path).
 func BenchmarkAccessDRAMHit(b *testing.B) {
-	h, addr := warmDRAMHit(b, false)
+	h, addr := warmDRAMHit(b, false, false)
 	buf := make([]byte, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -56,7 +60,7 @@ func BenchmarkAccessDRAMHit(b *testing.B) {
 // BenchmarkAccessDRAMHitSlowPath is the same access with the fast path
 // disabled — the per-cache-line bookkeeping baseline the fast path beats.
 func BenchmarkAccessDRAMHitSlowPath(b *testing.B) {
-	h, addr := warmDRAMHit(b, true)
+	h, addr := warmDRAMHit(b, true, false)
 	buf := make([]byte, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -71,7 +75,7 @@ func BenchmarkAccessDRAMHitSlowPath(b *testing.B) {
 // serviced with a single bulk copy and one clock advance instead of 64
 // per-line iterations.
 func BenchmarkAccessDRAMHitPage(b *testing.B) {
-	h, addr := warmDRAMHit(b, false)
+	h, addr := warmDRAMHit(b, false, false)
 	buf := make([]byte, 4096)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -161,28 +165,30 @@ func BenchmarkAccessPLBRedirect(b *testing.B) {
 }
 
 // TestSteadyStateDRAMHitZeroAllocs is the allocation budget the fast path
-// guarantees: a steady-state DRAM-hit read performs zero heap allocations.
-// The race detector instruments allocations, so the budget only holds in
-// normal builds.
+// guarantees: a steady-state DRAM-hit read performs zero heap allocations,
+// whether or not a zero Hooks was attached. The race detector instruments
+// allocations, so the budget only holds in normal builds.
 func TestSteadyStateDRAMHitZeroAllocs(t *testing.T) {
 	if sim.RaceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
 	}
-	h, addr := warmDRAMHit(t, false)
-	buf := make([]byte, 64)
-	if avg := testing.AllocsPerRun(200, func() {
-		if _, err := h.Read(addr, buf); err != nil {
-			t.Fatal(err)
+	for _, zeroHooks := range []bool{false, true} {
+		h, addr := warmDRAMHit(t, false, zeroHooks)
+		buf := make([]byte, 64)
+		if avg := testing.AllocsPerRun(200, func() {
+			if _, err := h.Read(addr, buf); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Fatalf("steady-state DRAM-hit read (zero Hooks: %v) allocates %.1f objects/op, want 0", zeroHooks, avg)
 		}
-	}); avg != 0 {
-		t.Fatalf("steady-state DRAM-hit read allocates %.1f objects/op, want 0", avg)
-	}
-	page := make([]byte, 4096)
-	if avg := testing.AllocsPerRun(200, func() {
-		if _, err := h.Read(addr, page); err != nil {
-			t.Fatal(err)
+		page := make([]byte, 4096)
+		if avg := testing.AllocsPerRun(200, func() {
+			if _, err := h.Read(addr, page); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Fatalf("steady-state DRAM-hit page read (zero Hooks: %v) allocates %.1f objects/op, want 0", zeroHooks, avg)
 		}
-	}); avg != 0 {
-		t.Fatalf("steady-state DRAM-hit page read allocates %.1f objects/op, want 0", avg)
 	}
 }

@@ -22,7 +22,7 @@ func driveMixed(t *testing.T, cfg Config, seed uint64) (counters, trace, metrics
 	}
 	tr := telemetry.NewTracer(1 << 16)
 	reg := telemetry.NewRegistry(100 * sim.Microsecond)
-	h.Instrument(tr, reg)
+	h.Attach(Hooks{Probe: tr, Registry: reg})
 
 	region, err := h.MmapPersistent(1 << 20)
 	if err != nil {

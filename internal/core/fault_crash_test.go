@@ -19,7 +19,7 @@ func faultedFF(t *testing.T, plan fault.Plan) *FlatFlash {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff.SetFaults(eng)
+	ff.Attach(Hooks{Faults: eng})
 	return ff
 }
 
@@ -74,7 +74,7 @@ func TestCrashAbortsInFlightPromotions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff.SetFaults(eng)
+	ff.Attach(Hooks{Faults: eng})
 	r, err := ff.Mmap(64 << 10)
 	if err != nil {
 		t.Fatal(err)

@@ -10,16 +10,23 @@ import (
 )
 
 // driveInstrumented runs a fixed mixed workload against an instrumented
-// hierarchy and returns the exported trace and metrics bytes.
-func driveInstrumented(t *testing.T, build func() (Hierarchy, error), seed uint64) (traceOut, metricsOut []byte, tr *telemetry.Tracer) {
+// hierarchy, with a fresh fault engine injecting plan when plan is non-nil,
+// and returns the exported trace and metrics bytes.
+func driveInstrumented(t *testing.T, build func() (Hierarchy, error), plan fault.Plan, seed uint64) (traceOut, metricsOut []byte, tr *telemetry.Tracer) {
 	t.Helper()
 	h, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	var eng *fault.Engine
+	if plan != nil {
+		if eng, err = fault.NewEngine(plan, 7); err != nil {
+			t.Fatal(err)
+		}
+	}
 	tr = telemetry.NewTracer(1 << 16)
 	reg := telemetry.NewRegistry(100 * sim.Microsecond)
-	h.Instrument(tr, reg)
+	h.Attach(Hooks{Probe: tr, Registry: reg, Faults: eng})
 
 	region, err := h.Mmap(1 << 20)
 	if err != nil {
@@ -61,35 +68,30 @@ func driveInstrumented(t *testing.T, build func() (Hierarchy, error), seed uint6
 
 func buildFF() (Hierarchy, error) { return NewFlatFlash(testConfig()) }
 
-// buildFaultedFF attaches a fresh fault engine injecting non-crash faults
-// (NAND failures and MMIO drops/tears ride through the workload without
-// erroring the access path, unlike a power loss).
-func buildFaultedFF() (Hierarchy, error) {
-	ff, err := NewFlatFlash(testConfig())
-	if err != nil {
-		return nil, err
-	}
-	eng, err := fault.NewEngine(fault.Plan{
-		{Kind: fault.ProgramFail, At: sim.Time(50 * sim.Microsecond), N: 2},
-		{Kind: fault.MMIODrop, At: sim.Time(120 * sim.Microsecond), N: 3},
-		{Kind: fault.MMIOTorn, At: sim.Time(200 * sim.Microsecond), N: 2},
-	}, 7)
-	if err != nil {
-		return nil, err
-	}
-	ff.SetFaults(eng)
-	return ff, nil
+// nonCrashFaults injects NAND failures and MMIO drops/tears, which ride
+// through the workload without erroring the access path, unlike a power
+// loss.
+var nonCrashFaults = fault.Plan{
+	{Kind: fault.ProgramFail, At: sim.Time(50 * sim.Microsecond), N: 2},
+	{Kind: fault.MMIODrop, At: sim.Time(120 * sim.Microsecond), N: 3},
+	{Kind: fault.MMIOTorn, At: sim.Time(200 * sim.Microsecond), N: 2},
 }
 
 // TestTelemetryDeterministic: two same-seed runs must export byte-identical
 // trace and metrics files — the property that makes dumps diffable. The
-// faulted builder extends the guarantee to fault-injected runs: the engine's
+// faulted run extends the guarantee to fault-injected runs: the engine's
 // seeded draws are part of the deterministic state.
 func TestTelemetryDeterministic(t *testing.T) {
-	for _, build := range []func() (Hierarchy, error){buildFF, buildFaultedFF,
-		func() (Hierarchy, error) { return NewUnifiedMMap(testConfig()) }} {
-		t1, m1, _ := driveInstrumented(t, build, 7)
-		t2, m2, _ := driveInstrumented(t, build, 7)
+	for _, tc := range []struct {
+		build func() (Hierarchy, error)
+		plan  fault.Plan
+	}{
+		{buildFF, nil},
+		{buildFF, nonCrashFaults},
+		{func() (Hierarchy, error) { return NewUnifiedMMap(testConfig()) }, nil},
+	} {
+		t1, m1, _ := driveInstrumented(t, tc.build, tc.plan, 7)
+		t2, m2, _ := driveInstrumented(t, tc.build, tc.plan, 7)
 		if !bytes.Equal(t1, t2) {
 			t.Error("trace bytes differ between same-seed runs")
 		}
@@ -103,7 +105,7 @@ func TestTelemetryDeterministic(t *testing.T) {
 // access span that covers an MMIO read in time (the nested-stage view the
 // exporter promises) and at least one background promotion span.
 func TestTelemetrySpanNesting(t *testing.T) {
-	_, _, tr := driveInstrumented(t, buildFF, 7)
+	_, _, tr := driveInstrumented(t, buildFF, nil, 7)
 	spans := tr.Spans()
 	var accesses, mmios []telemetry.Span
 	promotions := 0
@@ -144,7 +146,7 @@ func TestTelemetrySpanNesting(t *testing.T) {
 func TestBaselineFaultSpans(t *testing.T) {
 	_, _, tr := driveInstrumented(t, func() (Hierarchy, error) {
 		return NewTraditionalStack(testConfig())
-	}, 7)
+	}, nil, 7)
 	faults := 0
 	for _, s := range tr.Spans() {
 		if s.Kind == telemetry.SpanPageFault {
@@ -158,31 +160,36 @@ func TestBaselineFaultSpans(t *testing.T) {
 
 // TestDisabledProbeZeroAlloc: with no probe and no registry attached, the
 // steady-state access path must not allocate — telemetry must be free when
-// off.
+// off. A zero Hooks must be the same as never attaching.
 func TestDisabledProbeZeroAlloc(t *testing.T) {
 	for _, build := range []func() (Hierarchy, error){buildFF,
 		func() (Hierarchy, error) { return NewUnifiedMMap(testConfig()) }} {
-		h, err := build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		region, err := h.Mmap(64 << 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, 64)
-		// Settle: promote/fault the page in and let background promotions
-		// complete so the steady state is a pure DRAM hit.
-		for i := 0; i < 64; i++ {
-			if _, err := h.Read(region.Base, buf); err != nil {
+		for _, attach := range []bool{false, true} {
+			h, err := build()
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		h.Advance(10 * sim.Millisecond)
-		if allocs := testing.AllocsPerRun(500, func() {
-			h.Read(region.Base, buf)
-		}); allocs != 0 {
-			t.Errorf("%s: %v allocs per access with telemetry disabled", h.Name(), allocs)
+			if attach {
+				h.Attach(Hooks{})
+			}
+			region, err := h.Mmap(64 << 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, 64)
+			// Settle: promote/fault the page in and let background
+			// promotions complete so the steady state is a pure DRAM hit.
+			for i := 0; i < 64; i++ {
+				if _, err := h.Read(region.Base, buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			h.Advance(10 * sim.Millisecond)
+			if allocs := testing.AllocsPerRun(500, func() {
+				h.Read(region.Base, buf)
+			}); allocs != 0 {
+				t.Errorf("%s (zero Hooks attached: %v): %v allocs per access with telemetry disabled", h.Name(), attach, allocs)
+			}
 		}
 	}
 }
@@ -196,7 +203,7 @@ func TestInstrumentedTickZeroAllocBetweenEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry(sim.Second) // boundary far in the future
-	h.Instrument(nil, reg)
+	h.Attach(Hooks{Registry: reg})
 	region, err := h.Mmap(64 << 10)
 	if err != nil {
 		t.Fatal(err)

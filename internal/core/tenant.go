@@ -39,10 +39,9 @@ type Tenant struct {
 	promotions int64
 
 	// att is the tenant's latency-attribution account; the cells below are
-	// its pre-resolved pending-charge slots (PR 4-style handle cells) so the
-	// hot access paths charge with one pointer add. Until SetAttribution
-	// attaches an engine they are dead boxes, matching the nil engine's
-	// no-op Charge.
+	// its pre-resolved pending-charge slots (stats.Handle cells) so the hot
+	// access paths charge with one pointer add. Until Attach installs an
+	// engine they are dead boxes, matching the nil engine's no-op Charge.
 	att          *telemetry.TenantAttrib
 	attTLB       stats.Handle
 	attDRAM      stats.Handle

@@ -211,18 +211,6 @@ func sampleTimes(start, end sim.Time, n int) []sim.Time {
 	return out
 }
 
-// instrument attaches the configured flight recorder (if any) to one crash
-// run's hierarchy: the recorder becomes the run's probe, so fault events
-// (crash, NAND failures, MMIO drops) self-trigger anomaly snapshots, and
-// recovery invariant failures dump the pre-anomaly window.
-func (c Config) instrument(ff *core.FlatFlash) {
-	if c.Flight == nil {
-		return
-	}
-	ff.Instrument(c.Flight, nil)
-	ff.SetFlightRecorder(c.Flight)
-}
-
 // noteMapRecovery folds the demand-paged map's recovery outcomes into a
 // point result (all-zero counters in the default all-in-memory mode leave it
 // untouched) and flags GTD-vs-full-scan equivalence mismatches as

@@ -98,9 +98,8 @@ func fsimPoint(cfg Config, idx int, at sim.Time) (PointResult, error) {
 	if err != nil {
 		return res, err
 	}
-	ff.SetFaults(eng)
+	ff.Attach(core.Hooks{Faults: eng, Flight: cfg.Flight})
 	ff.BreakRecoveryForTesting(cfg.BreakRecovery)
-	cfg.instrument(ff)
 
 	opsDone := 0
 	for i := 0; i < cfg.FsimOps; i++ {

@@ -68,9 +68,8 @@ func txdbPoint(cfg Config, idx int, at sim.Time) (PointResult, error) {
 	if err != nil {
 		return res, err
 	}
-	ff.SetFaults(eng)
+	ff.Attach(core.Hooks{Faults: eng, Flight: cfg.Flight})
 	ff.BreakRecoveryForTesting(cfg.BreakRecovery)
-	cfg.instrument(ff)
 	st, err := txdb.NewStepper(ff, cfg.txdbConfig())
 	if err != nil {
 		return res, err

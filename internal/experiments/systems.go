@@ -53,10 +53,11 @@ func SetTelemetry(p telemetry.Probe, r *telemetry.Registry) {
 
 // SetAttribution attaches a latency attribution engine and flight recorder
 // to every FlatFlash hierarchy built by subsequent experiment runs
-// (flatflash-bench's -latency-out/-flight-out/-slo flags). Either may be
-// nil. Hierarchies share the sinks, so the engine aggregates per-component
-// latency across every FlatFlash instance an experiment builds; the
-// consolidate sweep additionally gets per-point engines through mtsim.
+// (flatflash-bench's -latency-out/-flight-out/-slo flags; the baselines
+// ignore both). Either may be nil. Hierarchies share the sinks, so the
+// engine aggregates per-component latency across every FlatFlash instance
+// an experiment builds; the consolidate sweep additionally gets per-point
+// engines through mtsim.
 func SetAttribution(a *telemetry.Attribution, r *telemetry.FlightRecorder) {
 	attSink, attRec = a, r
 }
@@ -84,20 +85,7 @@ func build(name string, cfg core.Config) (core.Hierarchy, error) {
 	if err != nil {
 		return nil, err
 	}
-	probe := telProbe
-	if ff, ok := h.(*core.FlatFlash); ok && (attSink != nil || attRec != nil) {
-		if attRec != nil {
-			// The flight recorder sits ahead of any user probe: it records
-			// every span into its ring and forwards to the chained probe.
-			attRec.Chain(telProbe)
-			probe = attRec
-		}
-		ff.SetFlightRecorder(attRec)
-		ff.SetAttribution(attSink)
-	}
-	if probe != nil || telReg != nil {
-		h.Instrument(probe, telReg)
-	}
+	h.Attach(core.Hooks{Probe: telProbe, Registry: telReg, Attribution: attSink, Flight: attRec})
 	return h, nil
 }
 

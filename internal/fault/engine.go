@@ -88,9 +88,9 @@ func NewEngine(p Plan, seed uint64) (*Engine, error) {
 	return e, nil
 }
 
-// SetProbe attaches a telemetry probe emitting one event per injected
-// fault. A nil probe disables emission.
-func (e *Engine) SetProbe(p telemetry.Probe) {
+// Attach installs a telemetry probe emitting one event per injected fault.
+// A nil probe disables emission; on a nil engine it is a no-op.
+func (e *Engine) Attach(p telemetry.Probe) {
 	if e == nil {
 		return
 	}

@@ -78,7 +78,7 @@ func TestErasedReadsAfterFailedProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SetFaults(eng)
+	d.Attach(nil, eng)
 	if _, err := d.Program(0, 4, bytes.Repeat([]byte{0x33}, cfg.PageSize)); !errors.Is(err, ErrProgramFailed) {
 		t.Fatalf("program err = %v, want ErrProgramFailed", err)
 	}

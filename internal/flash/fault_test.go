@@ -19,7 +19,7 @@ func TestInjectedProgramAndEraseFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SetFaults(eng)
+	d.Attach(nil, eng)
 
 	buf := make([]byte, testConfig().PageSize)
 	done, err := d.Program(0, 0, buf)

@@ -164,13 +164,12 @@ func NewDevice(cfg Config) (*Device, error) {
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }
 
-// SetFaults attaches a fault-injection engine (nil disables injection).
-func (d *Device) SetFaults(e *fault.Engine) { d.faults = e }
-
-// SetAttrib attaches a latency attribution sink: page reads and programs
-// charge their issue-to-completion time (channel queueing included) to the
-// flash component. A nil sink disables attribution.
-func (d *Device) SetAttrib(a telemetry.Attrib) { d.att = a }
+// Attach installs the device's hooks, replacing any earlier ones. The
+// attribution sink is charged each page read's and program's
+// issue-to-completion time (channel queueing included) as the flash
+// component; the fault engine fails programs and erases. Either may be nil,
+// which disables it.
+func (d *Device) Attach(a telemetry.Attrib, e *fault.Engine) { d.att, d.faults = a, e }
 
 // BlockOf returns the erase block containing page p.
 func (d *Device) BlockOf(p PageAddr) int { return int(p) / d.cfg.PagesPerBlock }

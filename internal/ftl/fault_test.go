@@ -17,7 +17,7 @@ func TestProgramFailureRemapsToFreshBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Device().SetFaults(eng)
+	f.Device().Attach(nil, eng)
 
 	done, err := f.WritePage(0, 7, page(f, 0xAB))
 	if err != nil {
@@ -47,7 +47,7 @@ func TestEraseFailureRetiresGCVictim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Device().SetFaults(eng)
+	f.Device().Attach(nil, eng)
 
 	// Churn a small working set so GC runs many times; the first erase fails
 	// and must retire the victim without losing any live page.

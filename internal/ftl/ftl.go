@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 
+	"flatflash/internal/fault"
 	"flatflash/internal/flash"
 	"flatflash/internal/mapcache"
 	"flatflash/internal/sim"
@@ -222,18 +223,17 @@ func (f *FTL) Device() *flash.Device { return f.dev }
 // SetDirtySource registers the SSD-Cache hook used by read-modify-write GC.
 func (f *FTL) SetDirtySource(src DirtySource) { f.dirtySrc = src }
 
-// SetProbe attaches a telemetry probe emitting flash-service and GC spans
-// on the flash track. A nil probe disables emission.
-func (f *FTL) SetProbe(p telemetry.Probe) { f.probe = p }
-
-// SetAttrib attaches a latency attribution sink: host writes charge any
-// garbage-collection stall ahead of them to the GC component (NAND service
-// itself is charged by the flash device), and demand-paged map accesses
-// charge cached-table hits to the map-fetch component. A nil sink disables
-// attribution.
-func (f *FTL) SetAttrib(a telemetry.Attrib) {
-	f.att = a
+// Attach installs the FTL's hooks and those of its NAND device, replacing
+// any earlier ones. The probe gets flash-service and GC spans on the flash
+// track. The attribution sink is charged any garbage-collection stall ahead
+// of a host write as the GC component, cached-table hits of the demand-paged
+// map as the map-fetch component, and (through the device) NAND service as
+// the flash component. The fault engine fails NAND programs and erases. Each
+// may be nil, which disables it.
+func (f *FTL) Attach(p telemetry.Probe, a telemetry.Attrib, e *fault.Engine) {
+	f.probe, f.att = p, a
 	f.attSus, _ = a.(attribSuspender)
+	f.dev.Attach(a, e)
 }
 
 // IsMapped reports whether logical page lpn has ever been written.

@@ -278,20 +278,10 @@ func sharedRun(cfg Config, dev core.Config, res *Result) error {
 	if err != nil {
 		return err
 	}
-	probe := cfg.Probe
-	if cfg.Flight != nil {
-		// The flight recorder sits ahead of any user probe: it records every
-		// span into its ring and forwards to the chained probe.
-		cfg.Flight.Chain(cfg.Probe)
-		probe = cfg.Flight
-	}
-	ff.Instrument(probe, cfg.Registry)
-	ff.SetFlightRecorder(cfg.Flight)
 	if cfg.Attrib || cfg.SLO > 0 {
-		att := telemetry.NewAttribution(cfg.SLO, 0)
-		ff.SetAttribution(att)
-		res.Attribution = att
+		res.Attribution = telemetry.NewAttribution(cfg.SLO, 0, cfg.Flight)
 	}
+	ff.Attach(core.Hooks{Probe: cfg.Probe, Registry: cfg.Registry, Attribution: res.Attribution, Flight: cfg.Flight})
 	actors := make([]*core.Tenant, len(cfg.Tenants))
 	actors[0] = ff.SelfTenant()
 	for i := 1; i < len(cfg.Tenants); i++ {

@@ -132,9 +132,9 @@ func NewServer(dev core.Config, mixSpec string, regionBytes uint64, opts ServerO
 		scratch: make([]byte, workload.RecordBytes),
 	}
 	if opts.Attrib || opts.SLO > 0 {
-		s.att = telemetry.NewAttribution(opts.SLO, 0)
-		ff.SetAttribution(s.att)
+		s.att = telemetry.NewAttribution(opts.SLO, 0, nil)
 	}
+	ff.Attach(core.Hooks{Attribution: s.att})
 	persistent := false
 	for _, mix := range strings.Split(mixSpec, "+") {
 		if workload.MixPersistent(mix) {

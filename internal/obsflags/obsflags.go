@@ -61,19 +61,20 @@ func (f *Flags) SLODur() sim.Duration { return sim.Duration(f.SLO.Nanoseconds())
 // ShedWaitDur returns the -shed-wait value as a virtual-time duration.
 func (f *Flags) ShedWaitDur() sim.Duration { return sim.Duration(f.ShedWait.Nanoseconds()) }
 
-// Build constructs the sinks the parsed flags ask for: an attribution engine
-// when AttribEnabled, a flight recorder when FlightEnabled. Either may come
-// back nil; downstream wiring is nil-safe.
+// Build constructs the sinks the parsed flags ask for: a flight recorder
+// when FlightEnabled, and an attribution engine when AttribEnabled, which
+// triggers that recorder on SLO-violating epochs. Either may come back nil;
+// downstream wiring is nil-safe.
 func (f *Flags) Build() (*telemetry.Attribution, *telemetry.FlightRecorder) {
 	var (
 		att *telemetry.Attribution
 		rec *telemetry.FlightRecorder
 	)
-	if f.AttribEnabled() {
-		att = telemetry.NewAttribution(f.SLODur(), 0)
-	}
 	if f.FlightEnabled() {
 		rec = telemetry.NewFlightRecorder(telemetry.DefaultFlightCapacity, telemetry.DefaultFlightSnapshots)
+	}
+	if f.AttribEnabled() {
+		att = telemetry.NewAttribution(f.SLODur(), 0, rec)
 	}
 	return att, rec
 }

@@ -77,19 +77,15 @@ func NewLink(cfg Config) (*Link, error) {
 // Config returns the link configuration.
 func (l *Link) Config() Config { return l.cfg }
 
-// SetProbe attaches a telemetry probe emitting one span per link
-// transaction (issue time to completion, on the PCIe track). A nil probe
-// disables emission.
-func (l *Link) SetProbe(p telemetry.Probe) { l.probe = p }
-
-// SetFaults attaches a fault-injection engine that can drop or tear posted
-// MMIO writes (nil disables injection).
-func (l *Link) SetFaults(e *fault.Engine) { l.faults = e }
-
-// SetAttrib attaches a latency attribution sink: every link transaction
-// charges its issue-to-completion time (occupancy queueing included) to the
-// link component. A nil sink disables attribution.
-func (l *Link) SetAttrib(a telemetry.Attrib) { l.att = a }
+// Attach installs the link's hooks, replacing any earlier ones. The probe
+// gets one span per link transaction (issue time to completion, on the PCIe
+// track); the attribution sink is charged each transaction's
+// issue-to-completion time (occupancy queueing included) as the link
+// component; the fault engine can drop or tear posted MMIO writes. Each may
+// be nil, which disables it.
+func (l *Link) Attach(p telemetry.Probe, a telemetry.Attrib, e *fault.Engine) {
+	l.probe, l.att, l.faults = p, a, e
+}
 
 // MMIORead performs a non-posted cache-line read issued at now; the
 // returned time is when the completion arrives back at the host.

@@ -132,15 +132,13 @@ func New(cfg Config) (*PLB, error) {
 // Config returns the PLB configuration.
 func (p *PLB) Config() Config { return p.cfg }
 
-// SetProbe attaches a telemetry probe: one span per promotion flight on the
-// promotion track, plus completion events. A nil probe disables emission.
-func (p *PLB) SetProbe(pr telemetry.Probe) { p.probe = pr }
-
-// SetAttrib attaches a latency attribution sink: each promotion flight
-// charges its duration to the promotion component (off the critical path,
-// the hierarchy suspends attribution around promotion kickoff, so the charge
-// lands on the background account). A nil sink disables attribution.
-func (p *PLB) SetAttrib(a telemetry.Attrib) { p.att = a }
+// Attach installs the PLB's hooks, replacing any earlier ones. The probe
+// gets one span per promotion flight on the promotion track, plus completion
+// events; the attribution sink is charged each flight's duration as the
+// promotion component (off the critical path: the hierarchy suspends
+// attribution around promotion kickoff, so the charge lands on the
+// background account). A nil probe or sink disables it.
+func (p *PLB) Attach(pr telemetry.Probe, a telemetry.Attrib) { p.probe, p.att = pr, a }
 
 // Free reports how many entries are available.
 func (p *PLB) Free() int {

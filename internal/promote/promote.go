@@ -53,10 +53,11 @@ func New(p Params) *Policy {
 	return &Policy{params: p, currThreshold: p.MaxThreshold}
 }
 
-// SetProbe attaches a telemetry probe emitting threshold-change and
+// Attach installs a telemetry probe emitting threshold-change and
 // epoch-reset events on the SSD track; now supplies timestamps (the policy
-// has no clock). A nil probe disables emission.
-func (p *Policy) SetProbe(pr telemetry.Probe, now func() sim.Time) {
+// has no clock). A nil probe disables emission. The fixed policy has no
+// adaptation to report, so it has no hooks.
+func (p *Policy) Attach(pr telemetry.Probe, now func() sim.Time) {
 	p.probe, p.now = pr, now
 }
 
@@ -163,9 +164,6 @@ func (f *FixedPolicy) Update(pageCnt int) bool {
 // AdjustCnt is a no-op for the fixed policy.
 func (f *FixedPolicy) AdjustCnt(pageCnt int) {}
 
-// SetProbe is a no-op: the fixed policy has no adaptation to report.
-func (f *FixedPolicy) SetProbe(pr telemetry.Probe, now func() sim.Time) {}
-
 // Threshold returns the fixed threshold.
 func (f *FixedPolicy) Threshold() int { return f.threshold }
 
@@ -190,8 +188,6 @@ type Promoter interface {
 	// Reset restores the policy's volatile state to power-on values after a
 	// power loss; cumulative run statistics survive.
 	Reset()
-	// SetProbe attaches telemetry (nil-safe; now supplies timestamps).
-	SetProbe(pr telemetry.Probe, now func() sim.Time)
 }
 
 var (

@@ -125,17 +125,14 @@ func New(cfg Config) (*Cache, error) {
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// SetProbe attaches a telemetry probe emitting hit/miss/eviction events on
-// the SSD track. The cache has no clock of its own, so the owner supplies
-// now (typically the hierarchy's Clock.Now). A nil probe disables emission.
-func (c *Cache) SetProbe(p telemetry.Probe, now func() sim.Time) {
-	c.probe, c.now = p, now
+// Attach installs the cache's hooks, replacing any earlier ones. The probe
+// gets hit/miss/eviction events on the SSD track, stamped with now (the
+// cache has no clock of its own; the owner passes its Clock.Now); the
+// attribution sink is charged the internal access cost of each Lookup hit as
+// the cache-fill component. A nil probe or sink disables it.
+func (c *Cache) Attach(p telemetry.Probe, now func() sim.Time, a telemetry.Attrib) {
+	c.probe, c.now, c.att = p, now, a
 }
-
-// SetAttrib attaches a latency attribution sink: each Lookup hit charges
-// the cache's internal access cost to the cache-fill component. A nil sink
-// disables attribution.
-func (c *Cache) SetAttrib(a telemetry.Attrib) { c.att = a }
 
 //flatflash:hotpath
 func (c *Cache) setOf(lpn uint32) int { return int(lpn) % c.nsets }

@@ -232,12 +232,14 @@ type Attribution struct {
 }
 
 // NewAttribution returns an attribution engine. slo <= 0 disables SLO
-// accounting and epoch p99 checks; epoch <= 0 uses DefaultEpoch.
-func NewAttribution(slo, epoch sim.Duration) *Attribution {
+// accounting and epoch p99 checks; epoch <= 0 uses DefaultEpoch. rec, when
+// non-nil, is triggered whenever an epoch closes with an account's
+// windowed p99 over the SLO.
+func NewAttribution(slo, epoch sim.Duration, rec *FlightRecorder) *Attribution {
 	if epoch <= 0 {
 		epoch = DefaultEpoch
 	}
-	return &Attribution{slo: slo, epoch: epoch}
+	return &Attribution{slo: slo, epoch: epoch, rec: rec}
 }
 
 // SLO returns the configured per-access latency objective (0 if disabled).
@@ -246,15 +248,6 @@ func (a *Attribution) SLO() sim.Duration {
 		return 0
 	}
 	return a.slo
-}
-
-// SetFlightRecorder attaches a recorder that Trigger-fires when an epoch
-// closes with an account's windowed p99 over the SLO. No-op on nil.
-func (a *Attribution) SetFlightRecorder(r *FlightRecorder) {
-	if a == nil {
-		return
-	}
-	a.rec = r
 }
 
 // Account returns the account named name, creating it on first use.

@@ -12,7 +12,7 @@ import (
 // account, the component sums (software residual included) add up exactly to
 // the end-to-end total.
 func TestAttributionReconciles(t *testing.T) {
-	a := NewAttribution(0, 0)
+	a := NewAttribution(0, 0, nil)
 	acct := a.Account("tenant0")
 
 	// Access 1: fully explained (tlb + link == total).
@@ -52,7 +52,7 @@ func TestAttributionReconciles(t *testing.T) {
 // TestAttributionSuspendRoutesToBackground checks Suspend/Resume nesting and
 // that out-of-window charges land on the background tally, not an account.
 func TestAttributionSuspendRoutesToBackground(t *testing.T) {
-	a := NewAttribution(0, 0)
+	a := NewAttribution(0, 0, nil)
 	acct := a.Account("tenant0")
 
 	a.Begin(acct)
@@ -95,7 +95,7 @@ func TestAttributionSuspendRoutesToBackground(t *testing.T) {
 // TestAttributionAbandonDiscardsWindow checks an abandoned access records
 // nothing and cannot leak pending charges into the next window.
 func TestAttributionAbandonDiscardsWindow(t *testing.T) {
-	a := NewAttribution(0, 0)
+	a := NewAttribution(0, 0, nil)
 	acct := a.Account("tenant0")
 
 	a.Begin(acct)
@@ -116,7 +116,7 @@ func TestAttributionAbandonDiscardsWindow(t *testing.T) {
 
 // TestAttributionSLOBurn checks violation counting and burn accumulation.
 func TestAttributionSLOBurn(t *testing.T) {
-	a := NewAttribution(1000, 0)
+	a := NewAttribution(1000, 0, nil)
 	acct := a.Account("tenant0")
 	for i, total := range []sim.Duration{500, 1000, 1500, 3000} {
 		a.Begin(acct)
@@ -136,8 +136,7 @@ func TestAttributionSLOBurn(t *testing.T) {
 // every boundary.
 func TestAttributionEpochTrigger(t *testing.T) {
 	rec := NewFlightRecorder(16, 4)
-	a := NewAttribution(1000, 100)
-	a.SetFlightRecorder(rec)
+	a := NewAttribution(1000, 100, rec)
 	acct := a.Account("tenant0")
 
 	// Epoch 1: all accesses fast — no trigger.
@@ -183,7 +182,6 @@ func TestAttributionNilSafe(t *testing.T) {
 	a.Abandon()
 	a.End(100, 10)
 	a.Finish(10)
-	a.SetFlightRecorder(nil)
 	if a.Account("x") != nil || a.Accounts() != nil || a.Background(CompLink) != 0 || a.SLO() != 0 {
 		t.Fatal("nil Attribution leaked state")
 	}
@@ -210,7 +208,7 @@ func TestAttributionNilSafe(t *testing.T) {
 // sum of its component rows.
 func TestWriteBudgetDeterministicAndReconciled(t *testing.T) {
 	build := func() *Attribution {
-		a := NewAttribution(2000, 0)
+		a := NewAttribution(2000, 0, nil)
 		for _, name := range []string{"tenant0", "tenant1"} {
 			acct := a.Account(name)
 			a.Begin(acct)

@@ -15,13 +15,13 @@ import (
 const DefaultEpoch = sim.Millisecond
 
 // maxRows bounds the sample series so a pathological virtual-time jump
-// cannot exhaust memory; sampling stops (and DroppedRows counts) beyond it.
+// cannot exhaust memory; sampling stops beyond it.
 const maxRows = 1 << 20
 
 // Registry generalizes stats.Counters with gauges and epoch-sampled time
 // series on the virtual clock. Hierarchies register pull-gauges (hit ratios,
 // occupancy, write amplification) and rate-gauges (promotions per virtual
-// second) at Instrument time; every access calls Tick, which samples all
+// second) when they are attached; every access calls Tick, which samples all
 // gauges each time virtual time crosses an epoch boundary.
 //
 // All methods are nil-receiver safe so call sites need no guards: a nil
@@ -44,8 +44,7 @@ type Registry struct {
 
 	counters *stats.Counters
 
-	rows    []Row
-	dropped int64
+	rows []Row
 }
 
 // Row is one sampled epoch: gauge values in registration order (gauges
@@ -155,7 +154,7 @@ func (r *Registry) Counters() *stats.Counters {
 	return r.counters
 }
 
-// Start positions the epoch grid at now. Instrument calls it; calling it
+// Start positions the epoch grid at now. Hierarchy.Attach calls it; calling it
 // again is a no-op so several hierarchies can share a registry.
 func (r *Registry) Start(now sim.Time) {
 	if r == nil || r.began {
@@ -201,7 +200,6 @@ func (r *Registry) Finish(now sim.Time) {
 
 func (r *Registry) sample(at sim.Time) {
 	if len(r.rows) >= maxRows {
-		r.dropped++
 		return
 	}
 	vals := make([]float64, 0, len(r.gaugeFns)+len(r.rateFns))
@@ -246,14 +244,6 @@ func (r *Registry) Rows() []Row {
 		return nil
 	}
 	return r.rows
-}
-
-// DroppedRows returns how many samples were discarded at the maxRows cap.
-func (r *Registry) DroppedRows() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.dropped
 }
 
 // LastObserved returns the latest virtual time seen by Tick or Finish

@@ -104,28 +104,6 @@ for pkg in $(go list ./...); do
     done
 done
 
-echo "== bench regression (warn-only) =="
-# Diff a one-shot bench run against the latest BENCH_*.json snapshot. This is
-# advisory: CI machines are too noisy for a hard ns/op gate, but the printed
-# deltas make a regression visible in the log. Alloc regressions are still
-# hard-gated by the AllocsPerRun tests above.
-latest_bench=$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1 || true)
-if [ -n "$latest_bench" ] && ! grep -q '"Benchmark' "$latest_bench"; then
-    # An empty or truncated snapshot would diff as everything-removed noise.
-    echo "benchdiff: $latest_bench has no benchmarks, skipping (warn only)"
-    latest_bench=""
-fi
-if [ -n "$latest_bench" ] && [ -x scripts/bench.sh ]; then
-    if BENCHTIME=3x ./scripts/bench.sh /tmp/BENCH_ci.json >/dev/null 2>&1; then
-        ./scripts/benchdiff.sh "$latest_bench" /tmp/BENCH_ci.json || \
-            echo "benchdiff: comparison failed (warn only)"
-    else
-        echo "benchdiff: bench run failed (warn only)"
-    fi
-else
-    echo "benchdiff: no BENCH_*.json snapshot to compare against (warn only)"
-fi
-
 echo "== observability smoke =="
 # Two same-seed runs with the latency-attribution and flight-recorder dumps
 # enabled must produce byte-identical, line-parseable JSONL files, and the
@@ -177,12 +155,12 @@ echo "== parallel engine smoke =="
 # against the one-worker run: reports must not depend on the worker count
 # or the machine. The fleet sweep migrates pages at many epoch boundaries,
 # so it exercises the epoch loop's window flushes and rebalances.
-/tmp/flatflash-bench -quick consolidate > /tmp/psim_seq.txt
-GOMAXPROCS=1 /tmp/flatflash-bench -quick -parallel 4 consolidate > /tmp/psim_par1.txt
-GOMAXPROCS=4 /tmp/flatflash-bench -quick -parallel 4 consolidate > /tmp/psim_par4.txt
-cmp /tmp/psim_seq.txt /tmp/psim_par1.txt || {
+/tmp/flatflash-bench -quick consolidate > /tmp/consolidate_seq.txt
+GOMAXPROCS=1 /tmp/flatflash-bench -quick -parallel 4 consolidate > /tmp/consolidate_par1.txt
+GOMAXPROCS=4 /tmp/flatflash-bench -quick -parallel 4 consolidate > /tmp/consolidate_par4.txt
+cmp /tmp/consolidate_seq.txt /tmp/consolidate_par1.txt || {
     echo "parallel report differs from sequential at GOMAXPROCS=1"; exit 1; }
-cmp /tmp/psim_seq.txt /tmp/psim_par4.txt || {
+cmp /tmp/consolidate_seq.txt /tmp/consolidate_par4.txt || {
     echo "parallel report differs from sequential at GOMAXPROCS=4"; exit 1; }
 migr_run() {
     /tmp/flatflash-bench fleet -shards 2,4 -seeds 1 -dram 65536 -region 1048576 \
